@@ -144,8 +144,7 @@ let restart () =
 let index_churn () =
   section "Incremental index maintenance under churn  [E14]";
   let sizes =
-    if full then [ 64; 128; 256; 384; 1024; 4096 ]
-    else [ 64; 128; 256; 1024; 4096 ]
+    if full then [ 64; 128; 256; 384; 1024 ] else [ 64; 128; 256; 1024 ]
   in
   let rows =
     Bwc_experiments.Scalability.churn_sweep ~sizes
@@ -160,13 +159,6 @@ let index_churn () =
     Format.eprintf "E14: %d differential divergences between incremental and rebuilt index@."
       diverged;
     exit 1
-  end;
-  let violations = Bwc_experiments.Scalability.churn_bound_violations rows in
-  if violations > 0 then begin
-    Format.eprintf
-      "E14: %d coreset interval bound violations against exact/spot ground truth@."
-      violations;
-    exit 3
   end
 
 (* Cost of structured tracing on the hot path: the same seeded

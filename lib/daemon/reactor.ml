@@ -153,15 +153,9 @@ let create ?metrics ?trace config dyn =
     invalid_arg "Reactor.create: bad work budget";
   if config.max_attempts < 1 || config.retry_base < 1 then
     invalid_arg "Reactor.create: bad retry policy";
-  (* force the mode's structure now: the first degraded answer must not
-     pay the initial build (O(n^3) exact, O(n·k^2) coreset) inside a
-     single tick.  In coreset mode the exact index is deliberately left
-     unbuilt — never paying O(n^2)-per-event maintenance is the mode's
-     whole point *)
-  (match Dynamic.index_mode dyn with
-  | Dynamic.Exact -> ignore (Dynamic.index dyn : Bwc_core.Find_cluster.Index.t)
-  | Dynamic.Coreset _ ->
-      ignore (Dynamic.coreset dyn : Bwc_core.Find_cluster.Coreset.t));
+  (* force the index now: the first degraded answer must not pay the
+     O(n^3) initial build inside a single tick *)
+  ignore (Dynamic.index dyn : Bwc_core.Find_cluster.Index.t);
   {
     config;
     dyn;
@@ -328,22 +322,13 @@ let process_query t ~now ~out ~id ~conn ~k ~b ~deadline ~enq =
   end
   else if t.dirty || t.mode = Degraded then begin
     (* stale aggregation: answer from the last consistent index — kept
-       membership-fresh by delta — with an explicit staleness bound.  A
-       coreset-mode daemon reports the certified size bracket alongside
-       its (approximate) cluster; exact-mode answers carry no bounds and
-       render byte-identically to previous releases *)
-    let cluster, bounds =
-      match Dynamic.index_mode t.dyn with
-      | Dynamic.Exact -> (Dynamic.query_centralized t.dyn ~k ~b, None)
-      | Dynamic.Coreset _ ->
-          let cluster, iv = Dynamic.query_bounds t.dyn ~k ~b in
-          (cluster, Some (iv.Bwc_core.Find_cluster.Coreset.lo, iv.hi))
-    in
+       membership-fresh by delta — with an explicit staleness bound *)
+    let cluster = Dynamic.query_centralized t.dyn ~k ~b in
     let staleness = staleness t ~now in
     bump t "daemon.answers" [ ("served", "index") ];
     push
       (Wire.Answer
-         { id; cluster; hops = 0; served = Wire.Index; degraded = true; staleness; bounds })
+         { id; cluster; hops = 0; served = Wire.Index; degraded = true; staleness })
   end
   else begin
     let r = Dynamic.query t.dyn ~k ~b in
@@ -357,7 +342,6 @@ let process_query t ~now ~out ~id ~conn ~k ~b ~deadline ~enq =
            served = Wire.Live;
            degraded = false;
            staleness = 0;
-           bounds = None;
          })
   end
 
@@ -498,9 +482,13 @@ let drain t ~now =
     bump t "daemon.drains" []
   end
 
+(* an image taken between a membership delta and the topology refresh
+   that follows it (degraded mode skips churn ticks) would not restore:
+   the protocol's membership disagrees with the ensemble.  A due
+   snapshot therefore waits, still due, until that refresh has run *)
 let take_snapshot_request t =
-  let due = t.snapshot_due in
-  t.snapshot_due <- false;
+  let due = t.snapshot_due && not t.needs_refresh in
+  if due then t.snapshot_due <- false;
   due
 
 let host_ok t h = h >= 0 && h < Dataset.size (Dynamic.dataset t.dyn)

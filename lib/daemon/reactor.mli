@@ -92,7 +92,9 @@ val drained : t -> bool
 
 val take_snapshot_request : t -> bool
 (** True when a snapshot is due (periodic cadence or an explicit
-    SNAPSHOT request); reading it clears the flag.  The caller owns the
+    SNAPSHOT request) and the aggregation topology is consistent with
+    the membership; a granted request clears the flag, a deferred one
+    stays due until the next topology refresh.  The caller owns the
     actual write (see {!Lifecycle.snapshot}) — the reactor performs no
     IO. *)
 

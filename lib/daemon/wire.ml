@@ -33,7 +33,6 @@ type response =
       served : served;
       degraded : bool;
       staleness : int;
-      bounds : (int * int) option;
     }
   | Acked of { id : string; cls : string; applied : bool }
   | Shed of { id : string; cls : string; reason : string }
@@ -115,21 +114,16 @@ let parse line =
 
 let render = function
   | Pong -> "PONG"
-  | Answer { id; cluster; hops; served; degraded; staleness; bounds } ->
+  | Answer { id; cluster; hops; served; degraded; staleness } ->
       let members =
         match cluster with
         | None -> "none"
         | Some hosts -> String.concat "," (List.map string_of_int hosts)
       in
-      let tail =
-        match bounds with
-        | None -> ""
-        | Some (lo, hi) -> Printf.sprintf " lo=%d hi=%d" lo hi
-      in
-      Printf.sprintf "OK %s cluster=%s hops=%d served=%s degraded=%d staleness=%d%s" id
+      Printf.sprintf "OK %s cluster=%s hops=%d served=%s degraded=%d staleness=%d" id
         members hops (served_name served)
         (if degraded then 1 else 0)
-        staleness tail
+        staleness
   | Acked { id; cls; applied } ->
       Printf.sprintf "ACK %s class=%s applied=%d" id cls (if applied then 1 else 0)
   | Shed { id; cls; reason } ->

@@ -17,7 +17,7 @@
     Responses (one of):
     {v
     PONG
-    OK <id> cluster=<h1,h2,...|none> hops=<n> served=<live|index> degraded=<0|1> staleness=<ticks>[ lo=<n> hi=<n>]
+    OK <id> cluster=<h1,h2,...|none> hops=<n> served=<live|index> degraded=<0|1> staleness=<ticks>
     ACK <id> class=<churn|meas> applied=<0|1>
     SHED <id> class=<c> reason=<queue_full|rate_limit|pressure|draining>
     TIMEOUT <id> waited=<ticks> deadline=<ticks>
@@ -60,11 +60,6 @@ type response =
       served : served;
       degraded : bool;
       staleness : int;  (** ticks since the aggregation last converged *)
-      bounds : (int * int) option;
-          (** certified [(lo, hi)] bracket on the maximum cluster size at
-              the query's constraint, present only when the answer was
-              served from a coreset index; [Exact]-mode answers render
-              byte-identically to previous releases *)
     }
   | Acked of { id : string; cls : string; applied : bool }
       (** ingestion applied; [applied = false] means a no-op (already in

@@ -53,7 +53,9 @@ let crc32 s =
   !c lxor 0xffffffff
 
 let magic = "BWCSNAP"
-let version = 1
+(* 2: the approximate-index fields of version 1 are gone, so a v1 image
+   is refused as [Bad_version 1] instead of being mis-parsed *)
+let version = 2
 
 let encode payload =
   Printf.sprintf "%s %d\nlen %d crc %08x\n%s" magic version

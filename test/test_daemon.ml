@@ -60,7 +60,7 @@ let test_wire_render () =
     [
       "PONG";
       "OK q1 cluster=1,2,3 hops=2 served=live degraded=0 staleness=0";
-      "OK q2 cluster=none hops=0 served=index degraded=1 staleness=7 lo=2 hi=5";
+      "OK q2 cluster=none hops=0 served=index degraded=1 staleness=7";
       "SHED m1 class=meas reason=pressure";
       "TIMEOUT q3 waited=9 deadline=8";
       "ACK j1 class=churn applied=1";
@@ -77,7 +77,6 @@ let test_wire_render () =
              served = Wire.Live;
              degraded = false;
              staleness = 0;
-             bounds = None;
            };
          Wire.Answer
            {
@@ -87,7 +86,6 @@ let test_wire_render () =
              served = Wire.Index;
              degraded = true;
              staleness = 7;
-             bounds = Some (2, 5);
            };
          Wire.Shed { id = "m1"; cls = "meas"; reason = "pressure" };
          Wire.Timeout { id = "q3"; waited = 9; deadline = 8 };
@@ -212,47 +210,6 @@ let test_degraded_staleness () =
       Alcotest.failf "expected live answer, got [%s]"
         (String.concat "; " (render_all out)))
 
-let test_degraded_coreset_bounds () =
-  let config = { Reactor.default_config with Reactor.stabilize_budget = 1 } in
-  let n = 24 in
-  let dyn =
-    Dynamic.create ~seed:11 ~initial_members:(range (n - 1))
-      ~index_mode:(Dynamic.Coreset 8) (dataset ~seed:12 n)
-  in
-  let r = Reactor.create config dyn in
-  check_strings "leave admitted" []
-    (render_all (Reactor.handle_line r ~now:0 ~conn:0 "LEAVE c1 host=3"));
-  check_strings "leave acked" [ "ACK c1 class=churn applied=1" ]
-    (render_all (Reactor.tick r ~now:1));
-  check_strings "query admitted" []
-    (render_all (Reactor.handle_line r ~now:1 ~conn:0 "QUERY q1 k=2 b=1.0"));
-  (* a degraded coreset-mode answer carries the certified size bracket
-     on the wire; exact-mode answers (see test_degraded_staleness) have
-     no bounds and render byte-identically to previous releases *)
-  match Reactor.tick r ~now:2 with
-  | [ { Reactor.response =
-          Wire.Answer
-            { id = "q1"; served = Wire.Index; degraded = true; bounds; _ } as resp;
-        _;
-      } ] -> (
-      match bounds with
-      | Some (lo, hi) ->
-          if not (0 <= lo && lo <= hi) then
-            Alcotest.failf "malformed bounds lo=%d hi=%d" lo hi;
-          let line = Wire.render resp in
-          let has s sub =
-            let n = String.length sub in
-            let rec go i = i + n <= String.length s
-              && (String.sub s i n = sub || go (i + 1)) in
-            go 0
-          in
-          Alcotest.(check bool) "lo= on the wire" true (has line " lo=");
-          Alcotest.(check bool) "hi= on the wire" true (has line " hi=")
-      | None -> Alcotest.fail "coreset-mode degraded answer lost its bounds")
-  | out ->
-      Alcotest.failf "expected degraded answer, got [%s]"
-        (String.concat "; " (render_all out))
-
 (* ----- watchdog ----- *)
 
 let test_watchdog_degrades () =
@@ -272,6 +229,47 @@ let test_watchdog_degrades () =
   Alcotest.(check string) "mode" "degraded" (Reactor.mode_name (Reactor.mode r));
   let fires = Registry.get (Registry.snapshot metrics) "daemon.watchdog_fires" in
   Alcotest.(check bool) "watchdog fired" true (fires >= 1)
+
+(* degraded mode skips reconvergence on churn ticks, so a JOIN leaves
+   the protocol topology behind the membership until the next quiet
+   tick; a snapshot requested meanwhile must wait for the refresh, or
+   the image it writes cannot be restored *)
+let test_degraded_snapshot_restorable () =
+  let config =
+    { Reactor.default_config with Reactor.stabilize_budget = 0; stall_after = 3 }
+  in
+  let r = reactor ~config () in
+  check_strings "leave admitted" []
+    (render_all (Reactor.handle_line r ~now:0 ~conn:0 "LEAVE c1 host=2"));
+  for now = 1 to 6 do
+    let (_ : Reactor.output list) = Reactor.tick r ~now in
+    ()
+  done;
+  Alcotest.(check string) "mode" "degraded" (Reactor.mode_name (Reactor.mode r));
+  check_strings "join admitted" []
+    (render_all (Reactor.handle_line r ~now:7 ~conn:0 "JOIN j1 host=15"));
+  check_strings "snapshot requested" [ "SNAPSHOTTING" ]
+    (render_all (Reactor.handle_line r ~now:7 ~conn:0 "SNAPSHOT"));
+  check_strings "join acked" [ "ACK j1 class=churn applied=1" ]
+    (render_all (Reactor.tick r ~now:7));
+  let taken = ref 0 in
+  for now = 7 to 12 do
+    if now > 7 then begin
+      let (_ : Reactor.output list) = Reactor.tick r ~now in
+      ()
+    end;
+    if Reactor.take_snapshot_request r then begin
+      incr taken;
+      match Snapshot.decode (Snapshot.encode (`Dynamic (Reactor.system r))) with
+      | Ok (Snapshot.Restored_dynamic d) ->
+          Alcotest.(check bool) "joined host restored" true (Dynamic.is_member d 15)
+      | Ok (Snapshot.Restored_system _) -> Alcotest.fail "restored the wrong kind"
+      | Error e ->
+          Alcotest.failf "snapshot at tick %d unrestorable: %s" now
+            (Codec.error_to_string e)
+    end
+  done;
+  Alcotest.(check int) "snapshot granted once" 1 !taken
 
 (* ----- retry with backoff ----- *)
 
@@ -532,8 +530,9 @@ let () =
           Alcotest.test_case "shed pressure" `Quick test_shed_pressure;
           Alcotest.test_case "deadline timeout" `Quick test_deadline_timeout;
           Alcotest.test_case "degraded staleness" `Quick test_degraded_staleness;
-          Alcotest.test_case "degraded coreset bounds" `Quick test_degraded_coreset_bounds;
           Alcotest.test_case "watchdog degrades" `Quick test_watchdog_degrades;
+          Alcotest.test_case "degraded snapshot restorable" `Quick
+            test_degraded_snapshot_restorable;
           Alcotest.test_case "retry backoff" `Quick test_retry_backoff;
           Alcotest.test_case "drain shutdown" `Quick test_drain_shutdown;
           Alcotest.test_case "overload accounting" `Quick test_overload_accounting;

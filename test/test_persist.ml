@@ -68,7 +68,8 @@ let test_container_rejects () =
   check_err "bit flip" "bad_checksum" (Bytes.to_string flipped);
   (* trailing garbage and mangled headers are structural corruption *)
   check_err "trailing bytes" "corrupt" (good ^ "x");
-  check_err "bad header" "corrupt" "BWCSNAP 1\nlen x crc zzzzzzzz\n"
+  check_err "bad header" "corrupt"
+    (Printf.sprintf "BWCSNAP %d\nlen x crc zzzzzzzz\n" Codec.version)
 
 let test_float_roundtrip_exact () =
   let w = Codec.W.create () in
@@ -147,41 +148,40 @@ let test_snapshot_dynamic_roundtrip () =
   Alcotest.(check bool) "index tracked the leave" false
     (Bwc_core.Find_cluster.Index.is_member (Dynamic.index restored) victim)
 
-let test_snapshot_coreset_roundtrip () =
-  let dyn =
-    Dynamic.create ~seed:5 ~index_mode:(Dynamic.Coreset 6) (dataset ~seed:6 20)
+(* Version 1 dynamic images carried an approximation-mode int and an
+   optional summary section after the index; an exact-mode v1 image is the v2
+   payload plus those two empty fields.  It must be refused by version,
+   not mis-parsed, and a daemon booting over it starts cold. *)
+let test_snapshot_v1_refused () =
+  let dyn = Dynamic.create ~seed:5 (dataset ~seed:6 20) in
+  let payload =
+    match Codec.decode (Snapshot.encode (`Dynamic dyn)) with
+    | Ok p -> p ^ "i 0\nb 0\n"
+    | Error e -> Alcotest.failf "container: %s" (Codec.error_to_string e)
   in
-  Dynamic.leave dyn (List.hd (Dynamic.members dyn));
-  (* force + exercise the coreset through churn so the snapshot carries a
-     non-trivial maintained state *)
-  let probe d =
-    let cluster, iv = Dynamic.query_bounds d ~k:3 ~b:30.0 in
-    (cluster, iv.Bwc_core.Find_cluster.Coreset.lo, iv.Bwc_core.Find_cluster.Coreset.hi)
+  let v1 =
+    Printf.sprintf "%s 1\nlen %d crc %08x\n%s" Codec.magic (String.length payload)
+      (Codec.crc32 payload) payload
   in
-  let before = probe dyn in
-  let bytes = Snapshot.encode (`Dynamic dyn) in
-  let restored =
-    match Snapshot.decode bytes with
-    | Ok (Snapshot.Restored_dynamic d) -> d
-    | Ok (Snapshot.Restored_system _) -> Alcotest.fail "wrong kind"
-    | Error e -> Alcotest.failf "decode failed: %s" (Codec.error_to_string e)
-  in
-  (match Dynamic.index_mode restored with
-  | Dynamic.Coreset 6 -> ()
-  | _ -> Alcotest.fail "index mode did not survive the round trip");
-  let cor = Option.get (Dynamic.coreset_opt restored) in
-  Alcotest.(check (list int)) "coreset members survive" (Dynamic.members dyn |> List.sort compare)
-    (Bwc_core.Find_cluster.Coreset.members cor);
-  (* summaries are rebuilt from topology alone, so the restored bounds
-     are identical, and a re-snapshot is byte-identical *)
-  Alcotest.(check bool) "bounds survive" true (probe restored = before);
-  let again = Snapshot.encode (`Dynamic restored) in
-  Alcotest.(check bool) "re-snapshot byte-identical" true (String.equal bytes again);
-  (* the restored eviction/churn path still maintains the coreset *)
-  let victim = List.hd (Dynamic.members restored) in
-  Dynamic.leave restored victim;
-  Alcotest.(check bool) "coreset tracked the leave" false
-    (Bwc_core.Find_cluster.Coreset.is_member (Dynamic.coreset restored) victim)
+  (match Snapshot.decode v1 with
+  | Error (Codec.Bad_version 1) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "decoded a v1 image");
+  let path = Filename.temp_file "bwcsnap" ".v1" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Codec.write_file path v1;
+      let metrics = Registry.create () in
+      let boot =
+        Bwc_daemon.Lifecycle.boot ~metrics ~keep:1 ~path ~cold:(fun () -> dyn) ()
+      in
+      Alcotest.(check bool) "cold" false boot.Bwc_daemon.Lifecycle.warm;
+      Alcotest.(check int) "cold start counted" 1
+        (Registry.get (Registry.snapshot metrics) "persist.cold_starts");
+      match boot.Bwc_daemon.Lifecycle.rejected with
+      | [ (0, Codec.Bad_version 1) ] -> ()
+      | _ -> Alcotest.fail "generation 0 not rejected as version 1")
 
 let test_snapshot_mid_convergence () =
   (* crash in the middle of aggregation: in-flight messages die with the
@@ -485,7 +485,7 @@ let () =
           Alcotest.test_case "deterministic future" `Quick
             test_snapshot_future_is_deterministic;
           Alcotest.test_case "dynamic round trip" `Quick test_snapshot_dynamic_roundtrip;
-          Alcotest.test_case "coreset round trip" `Quick test_snapshot_coreset_roundtrip;
+          Alcotest.test_case "v1 image refused" `Quick test_snapshot_v1_refused;
           Alcotest.test_case "mid-convergence crash" `Quick test_snapshot_mid_convergence;
           Alcotest.test_case "detector mid-lease" `Quick test_snapshot_detector_mid_lease;
           Alcotest.test_case "save/load file" `Quick test_save_load_file;
