@@ -4,11 +4,9 @@
    indent — so regenerating it on an unchanged tree is byte-identical
    and diffs review cleanly.  Matching is by (rule, file, stable key):
    symbolic keys (witness anchors, def names) survive line drift, the
-   "L<line>" fallback pins purely positional findings.
+   "L<line>" fallback pins purely positional findings. *)
 
-   The parser below is a minimal recursive-descent JSON reader: the
-   analysis library deliberately depends only on compiler-libs, and the
-   subset we emit (objects, arrays, strings, ints) is all we accept. *)
+module Json = Bwc_json.Json
 
 type entry = { b_rule : string; b_file : string; b_key : string }
 
@@ -33,11 +31,11 @@ let to_json entries =
     (fun i e ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf "\n    { \"rule\": ";
-      Buffer.add_string buf (Report.json_string e.b_rule);
+      Buffer.add_string buf (Json.quote e.b_rule);
       Buffer.add_string buf ", \"file\": ";
-      Buffer.add_string buf (Report.json_string e.b_file);
+      Buffer.add_string buf (Json.quote e.b_file);
       Buffer.add_string buf ", \"key\": ";
-      Buffer.add_string buf (Report.json_string e.b_key);
+      Buffer.add_string buf (Json.quote e.b_key);
       Buffer.add_string buf " }")
     entries;
   if entries <> [] then Buffer.add_string buf "\n  ";
@@ -49,144 +47,15 @@ let save ~path entries =
   output_string oc (to_json (List.sort_uniq compare_entry entries));
   close_out oc
 
-(* ----- reading: a minimal JSON subset parser ----- *)
+(* ----- reading ----- *)
 
-type json =
-  | J_obj of (string * json) list
-  | J_arr of json list
-  | J_str of string
-  | J_int of int
-
-exception Bad of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> raise (Bad (Printf.sprintf "expected '%c' at offset %d" c !pos))
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> raise (Bad "unterminated string")
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some '"' -> Buffer.add_char buf '"'
-          | Some '\\' -> Buffer.add_char buf '\\'
-          | Some '/' -> Buffer.add_char buf '/'
-          | Some 'n' -> Buffer.add_char buf '\n'
-          | Some 't' -> Buffer.add_char buf '\t'
-          | Some 'r' -> Buffer.add_char buf '\r'
-          | Some 'b' -> Buffer.add_char buf '\b'
-          | Some 'u' ->
-              (* we never emit non-ASCII escapes; decode latin-1 subset *)
-              if !pos + 4 >= n then raise (Bad "bad \\u escape");
-              let hex = String.sub s (!pos + 1) 4 in
-              pos := !pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> raise (Bad "bad \\u escape")
-              in
-              if code < 128 then Buffer.add_char buf (Char.chr code)
-              else Buffer.add_char buf '?'
-          | _ -> raise (Bad "bad escape"));
-          advance ();
-          go ()
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> J_str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          J_obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ()
-            | Some '}' -> advance ()
-            | _ -> raise (Bad "expected ',' or '}'")
-          in
-          members ();
-          J_obj (List.rev !fields)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          J_arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements ()
-            | Some ']' -> advance ()
-            | _ -> raise (Bad "expected ',' or ']'")
-          in
-          elements ();
-          J_arr (List.rev !items)
-        end
-    | Some c when c = '-' || (c >= '0' && c <= '9') ->
-        let start = !pos in
-        if c = '-' then advance ();
-        let rec digits () =
-          match peek () with
-          | Some c when c >= '0' && c <= '9' ->
-              advance ();
-              digits ()
-          | _ -> ()
-        in
-        digits ();
-        J_int (int_of_string (String.sub s start (!pos - start)))
-    | _ -> raise (Bad (Printf.sprintf "unexpected input at offset %d" !pos))
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then raise (Bad "trailing garbage");
-  v
+let entry_of_json = function
+  | Json.Obj fs -> (
+      let str k = match List.assoc_opt k fs with Some (Json.Str s) -> Some s | _ -> None in
+      match (str "rule", str "file", str "key") with
+      | Some b_rule, Some b_file, Some b_key -> Some { b_rule; b_file; b_key }
+      | _ -> None)
+  | Json.Arr _ | Json.Str _ | Json.Int _ | Json.Bool _ -> None
 
 let load ~path =
   match
@@ -198,33 +67,16 @@ let load ~path =
   with
   | exception Sys_error msg -> Error msg
   | s -> (
-      match parse_json s with
-      | exception Bad msg -> Error (path ^ ": " ^ msg)
-      | J_obj fields -> (
+      match Json.of_string s with
+      | Error msg -> Error (path ^ ": " ^ msg)
+      | Ok (Json.Obj fields) -> (
           match List.assoc_opt "findings" fields with
-          | Some (J_arr items) -> (
-              let entry_of = function
-                | J_obj fs -> (
-                    let str k =
-                      match List.assoc_opt k fs with
-                      | Some (J_str s) -> Some s
-                      | _ -> None
-                    in
-                    match (str "rule", str "file", str "key") with
-                    | Some b_rule, Some b_file, Some b_key ->
-                        Some { b_rule; b_file; b_key }
-                    | _ -> None)
-                | _ -> None
-              in
-              let entries = List.map entry_of items in
-              if List.exists (fun e -> e = None) entries then
-                Error (path ^ ": malformed baseline entry")
-              else
-                Ok
-                  (List.sort_uniq compare_entry
-                     (List.filter_map (fun e -> e) entries)))
+          | Some (Json.Arr items) ->
+              let entries = List.map entry_of_json items in
+              if List.mem None entries then Error (path ^ ": malformed baseline entry")
+              else Ok (List.sort_uniq compare_entry (List.filter_map Fun.id entries))
           | _ -> Error (path ^ ": missing \"findings\" array"))
-      | _ -> Error (path ^ ": expected a JSON object"))
+      | Ok _ -> Error (path ^ ": expected a JSON object"))
 
 (* ----- diffing ----- *)
 

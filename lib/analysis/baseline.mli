@@ -21,8 +21,8 @@ val save : path:string -> entry list -> unit
 (** Write canonical JSON ([{"version": 1, "findings": [...]}]). *)
 
 val load : path:string -> (entry list, string) result
-(** Parse a baseline file (self-contained JSON subset reader — the
-    analysis library depends only on compiler-libs). *)
+(** Parse a baseline file.  Malformed or unreadable input is an
+    [Error], never an exception. *)
 
 type diff = {
   fresh : Finding.t list;  (** not in the baseline: fail the gate *)

@@ -1,3 +1,5 @@
+module Json = Bwc_json.Json
+
 let count sev findings =
   List.length (List.filter (fun f -> f.Finding.severity = sev) findings)
 
@@ -44,40 +46,19 @@ let suppression_audit ppf (r : Engine.result) =
 
 (* ----- JSON ----- *)
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  json_escape buf s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let json_finding ppf (f : Finding.t) =
   Format.fprintf ppf
     "{\"file\":%s,\"line\":%d,\"col\":%d,\"rule\":%s,\"severity\":%s,\"key\":%s,\"message\":%s"
-    (json_string f.file) f.line f.col (json_string f.rule)
-    (json_string (Finding.severity_label f.severity))
-    (json_string (Finding.stable_key f))
-    (json_string f.message);
+    (Json.quote f.file) f.line f.col (Json.quote f.rule)
+    (Json.quote (Finding.severity_label f.severity))
+    (Json.quote (Finding.stable_key f))
+    (Json.quote f.message);
   if f.witness <> [] then begin
     Format.fprintf ppf ",\"witness\":[";
     List.iteri
       (fun i step ->
         if i > 0 then Format.fprintf ppf ",";
-        Format.fprintf ppf "%s" (json_string step))
+        Format.fprintf ppf "%s" (Json.quote step))
       f.witness;
     Format.fprintf ppf "]"
   end;
@@ -101,7 +82,7 @@ let json ppf (r : Engine.result) =
   List.iteri
     (fun i ((f : Finding.t), reason) ->
       if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "@,{\"reason\":%s,\"finding\":%a}" (json_string reason)
+      Format.fprintf ppf "@,{\"reason\":%s,\"finding\":%a}" (Json.quote reason)
         json_finding f)
     r.suppressed;
   Format.fprintf ppf "@]@,]@]@,}@."

@@ -20,9 +20,6 @@ val json : Format.formatter -> Engine.result -> unit
       "parse_failed":., "findings":[{file,line,col,rule,severity,key,
       message,witness?}], "suppressed":[{reason,finding}]}] *)
 
-val json_string : string -> string
-(** JSON-quote and escape a string. *)
-
 val rule_catalog : Format.formatter -> unit -> unit
 (** Human-readable listing of every rule — syntactic catalog,
     whole-program families, driver meta rules — with severity and

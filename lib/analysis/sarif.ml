@@ -14,7 +14,7 @@ let all_rules () =
 
 let level = function Finding.Error -> "error" | Finding.Warning -> "warning"
 
-let str = Report.json_string
+let str = Bwc_json.Json.quote
 
 let location (f : Finding.t) =
   Printf.sprintf

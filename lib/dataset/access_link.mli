@@ -4,8 +4,7 @@
     hosts is the minimum of their capacities — the theoretical topology
     model for which the induced space is a {e perfect} tree metric
     (Ramasubramanian et al., MSR-TR-2008-124).  Used as a ground-truth
-    tree-metric generator in tests and as the epsilon = 0 extreme of the
-    treeness sweep. *)
+    tree-metric generator in tests. *)
 
 val of_capacities : name:string -> float array -> Dataset.t
 (** [of_capacities ~name caps] has [BW(u,v) = min caps.(u) caps.(v)].

@@ -270,12 +270,12 @@ let save_json (out : t) path =
     "{\n\
     \  \"experiment\": \"overload\",\n\
     \  \"seed\": %d,\n\
-    \  \"dataset\": \"%s\",\n\
+    \  \"dataset\": %s,\n\
     \  \"n\": %d,\n\
     \  \"ticks\": %d,\n\
     \  \"budget\": %d,\n\
     \  \"plateau\": %.4f,\n\
     \  \"rows\": [\n%s\n  ]\n}\n"
-    out.seed out.dataset out.n out.ticks out.budget out.plateau
+    out.seed (Bwc_json.Json.quote out.dataset) out.n out.ticks out.budget out.plateau
     (String.concat ",\n" (List.map row_json out.rows));
   close_out oc

@@ -673,14 +673,14 @@ let save_restart_json (output : restart_output) ~seed path =
     "{\n\
     \  \"experiment\": \"restart\",\n\
     \  \"seed\": %d,\n\
-    \  \"dataset\": \"%s\",\n\
+    \  \"dataset\": %s,\n\
     \  \"n\": %d,\n\
     \  \"queries\": %d,\n\
     \  \"snapshot_bytes\": %d,\n\
     \  \"base_rounds\": %d,\n\
     \  \"rr_clean\": %.3f,\n\
     \  \"rows\": [\n%s\n  ]\n}\n"
-    seed output.dataset output.n output.queries output.snapshot_bytes
+    seed (Bwc_json.Json.quote output.dataset) output.n output.queries output.snapshot_bytes
     output.base_rounds output.rr_clean
     (String.concat ",\n" (List.map row_json output.rows));
   close_out oc

@@ -9,6 +9,8 @@
    Lamport stamp, so the happens-before DAG of a run is reconstructible
    from its trace alone (see Causal). *)
 
+module Json = Bwc_json.Json
+
 type drop_cause = Fault_loss | Partition | Dead_dst | Purge
 
 type msg_kind =
@@ -124,20 +126,6 @@ let cause_of_string = function
   | "purge" -> Some Purge
   | _ -> None
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let event_to_json = function
   | Round_start { round } -> Printf.sprintf "{\"ev\":\"round_start\",\"round\":%d}" round
   | Send { round; msg; kind; bytes; lc; src; dst } ->
@@ -178,15 +166,15 @@ let event_to_json = function
   | Restore { round; warm } ->
       Printf.sprintf "{\"ev\":\"restore\",\"round\":%d,\"warm\":%b}" round warm
   | Restore_rejected { round; reason } ->
-      Printf.sprintf "{\"ev\":\"restore_rejected\",\"round\":%d,\"reason\":\"%s\"}" round
-        (escape_string reason)
+      Printf.sprintf "{\"ev\":\"restore_rejected\",\"round\":%d,\"reason\":%s}" round
+        (Json.quote reason)
   | Daemon_admit { round; cls; conn } ->
-      Printf.sprintf "{\"ev\":\"daemon_admit\",\"round\":%d,\"cls\":\"%s\",\"conn\":%d}"
-        round (escape_string cls) conn
+      Printf.sprintf "{\"ev\":\"daemon_admit\",\"round\":%d,\"cls\":%s,\"conn\":%d}"
+        round (Json.quote cls) conn
   | Daemon_shed { round; cls; reason } ->
       Printf.sprintf
-        "{\"ev\":\"daemon_shed\",\"round\":%d,\"cls\":\"%s\",\"reason\":\"%s\"}" round
-        (escape_string cls) (escape_string reason)
+        "{\"ev\":\"daemon_shed\",\"round\":%d,\"cls\":%s,\"reason\":%s}" round
+        (Json.quote cls) (Json.quote reason)
   | Daemon_timeout { round; waited; deadline } ->
       Printf.sprintf
         "{\"ev\":\"daemon_timeout\",\"round\":%d,\"waited\":%d,\"deadline\":%d}" round
@@ -197,8 +185,8 @@ let event_to_json = function
         entered staleness
   | Daemon_retry { round; cls; attempt; due } ->
       Printf.sprintf
-        "{\"ev\":\"daemon_retry\",\"round\":%d,\"cls\":\"%s\",\"attempt\":%d,\"due\":%d}"
-        round (escape_string cls) attempt due
+        "{\"ev\":\"daemon_retry\",\"round\":%d,\"cls\":%s,\"attempt\":%d,\"due\":%d}"
+        round (Json.quote cls) attempt due
   | Daemon_watchdog { round; pending; stalled } ->
       Printf.sprintf
         "{\"ev\":\"daemon_watchdog\",\"round\":%d,\"pending\":%b,\"stalled\":%d}" round
@@ -215,120 +203,16 @@ let to_jsonl t =
 
 let pp_event ppf ev = Format.pp_print_string ppf (event_to_json ev)
 
-(* ----- parsing (the analyzer's input path) -----
-
-   A tiny flat-object JSON reader: every event renders as a single-line
-   object whose values are ints, booleans or strings, so nothing more
-   general is needed.  Mirrors Registry's hand-rolled reader — no JSON
-   dependency. *)
-
-type jval = Jint of int | Jstr of string | Jbool of bool
-
-exception Bad of string
-
-let parse_flat line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Bad msg) in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos >= n || line.[!pos] <> c then fail (Printf.sprintf "expected '%c'" c);
-    incr pos
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match line.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-          if !pos + 1 >= n then fail "dangling escape";
-          (match line.[!pos + 1] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-              if !pos + 5 >= n then fail "short unicode escape";
-              let code = int_of_string ("0x" ^ String.sub line (!pos + 2) 4) in
-              Buffer.add_char buf (Char.chr (code land 0xff));
-              pos := !pos + 4
-          | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-          pos := !pos + 2;
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_value () =
-    skip_ws ();
-    if !pos >= n then fail "missing value";
-    match line.[!pos] with
-    | '"' -> Jstr (parse_string ())
-    | 't' ->
-        if !pos + 4 <= n && String.sub line !pos 4 = "true" then begin
-          pos := !pos + 4;
-          Jbool true
-        end
-        else fail "bad literal"
-    | 'f' ->
-        if !pos + 5 <= n && String.sub line !pos 5 = "false" then begin
-          pos := !pos + 5;
-          Jbool false
-        end
-        else fail "bad literal"
-    | '-' | '0' .. '9' ->
-        let start = !pos in
-        if line.[!pos] = '-' then incr pos;
-        while !pos < n && (match line.[!pos] with '0' .. '9' -> true | _ -> false) do
-          incr pos
-        done;
-        if !pos = start then fail "empty number";
-        Jint (int_of_string (String.sub line start (!pos - start)))
-    | c -> fail (Printf.sprintf "unexpected '%c'" c)
-  in
-  expect '{';
-  skip_ws ();
-  let fields = ref [] in
-  if !pos < n && line.[!pos] = '}' then incr pos
-  else begin
-    let rec members () =
-      let key = (skip_ws (); parse_string ()) in
-      expect ':';
-      let v = parse_value () in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      if !pos < n && line.[!pos] = ',' then begin
-        incr pos;
-        members ()
-      end
-      else expect '}'
-    in
-    members ()
-  end;
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  List.rev !fields
+(* ----- parsing (the analyzer's input path) ----- *)
 
 let event_of_json line =
-  match parse_flat line with
-  | exception Bad _ -> None
-  | exception _ -> None
-  | fields -> (
-      let int k = match List.assoc_opt k fields with Some (Jint i) -> Some i | _ -> None in
-      let str k = match List.assoc_opt k fields with Some (Jstr s) -> Some s | _ -> None in
+  match Json.of_string line with
+  | Error _ | Ok (Json.Arr _ | Json.Str _ | Json.Int _ | Json.Bool _) -> None
+  | Ok (Json.Obj fields) -> (
+      let int k = match List.assoc_opt k fields with Some (Json.Int i) -> Some i | _ -> None in
+      let str k = match List.assoc_opt k fields with Some (Json.Str s) -> Some s | _ -> None in
       let bool k =
-        match List.assoc_opt k fields with Some (Jbool b) -> Some b | _ -> None
+        match List.assoc_opt k fields with Some (Json.Bool b) -> Some b | _ -> None
       in
       let kind k = Option.bind (str k) kind_of_string in
       match str "ev" with

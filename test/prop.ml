@@ -18,8 +18,8 @@
       point strictly backwards (acyclicity) and chain lengths add up;
    5. daemon-replay — the reactor is a pure function of (seed, script);
    6. decoder-fuzz — every decoder of untrusted input (Wire.parse,
-      Registry.of_json, Trace.of_jsonl, Snapshot.decode) answers mutated
-      input with a typed result and never raises.
+      Json.of_string, Trace.of_jsonl, Baseline.load, Snapshot.decode)
+      answers mutated input with a typed result and never raises.
 
    The harness is deliberately NOT an alcotest suite: its stdout is
    fully deterministic for a given seed (no timings), so two runs with
@@ -456,9 +456,10 @@ let daemon_replay () =
     "%s: %d cases, %d requests, %d typed responses, replays byte-identical [ok]\n"
     prop n_cases !requests_total !responses_total
 
-(* 6. decoder-fuzz — untrusted input reaches four decoders: request
-   lines (Wire.parse), metrics snapshots (Registry.of_json), traces
-   (Trace.of_jsonl) and snapshot images (Snapshot.decode).  Each gets
+(* 6. decoder-fuzz — untrusted input reaches five decoders: request
+   lines (Wire.parse), JSON text (Json.of_string, fed metrics
+   snapshots), traces (Trace.of_jsonl), the committed lint baseline
+   (Baseline.load) and snapshot images (Snapshot.decode).  Each gets
    valid seed inputs damaged by a few random byte edits; every result
    must be a typed Ok/Error, never an exception.  Snapshot payloads are
    re-wrapped in a container with a fresh CRC so the damage reaches the
@@ -491,6 +492,7 @@ let decoder_fuzz () =
   let module Trace = Bwc_obs.Trace in
   let module Codec = Bwc_persist.Codec in
   let module Snapshot = Bwc_persist.Snapshot in
+  let module Baseline = Bwc_analysis.Baseline in
   let metrics = Registry.create () and trace = Trace.create () in
   (* a fixed seed corpus: the damage, not the corpus, varies with the seed *)
   let dataset =
@@ -510,6 +512,7 @@ let decoder_fuzz () =
     |> List.filteri (fun i _ -> i < 12)
     |> String.concat "\n"
   in
+  let baseline_path = Filename.temp_file "prop_baseline" ".json" in
   let lines =
     [|
       "PING"; "QUERY q1 k=6 b=30"; "QUERY q2 k=3 b=12.5 deadline=7"; "JOIN j1 host=4";
@@ -524,8 +527,14 @@ let decoder_fuzz () =
           Result.is_ok (Wire.parse (mutate rng lines.(Rng.int rng (Array.length lines)))) );
       ( "registry", 2,
         let json = Registry.to_json (Registry.snapshot metrics) in
-        fun rng -> Result.is_ok (Registry.of_json (mutate rng json)) );
+        fun rng -> Result.is_ok (Bwc_json.Json.of_string (mutate rng json)) );
       ("trace", 2, fun rng -> Result.is_ok (Trace.of_jsonl (mutate rng trace_head)));
+      ( "baseline", 1,
+        fun rng ->
+          let oc = open_out_bin baseline_path in
+          output_string oc (mutate rng Baseline_corpus.text);
+          close_out oc;
+          Result.is_ok (Baseline.load ~path:baseline_path) );
       ( "snapshot", 1,
         fun rng -> Result.is_ok (Snapshot.decode (Codec.encode (mutate rng payload))) );
     ]
@@ -548,6 +557,7 @@ let decoder_fuzz () =
         Printf.sprintf "%s %d/%d ok" name !ok !total)
       decoders
   in
+  Sys.remove baseline_path;
   Printf.printf "%s: %s, the rest typed errors, none raised [ok]\n" prop
     (String.concat ", " report)
 

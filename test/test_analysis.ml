@@ -554,6 +554,22 @@ let test_baseline_roundtrip () =
           Alcotest.(check (list string))
             "round trip" (entry_strings entries) (entry_strings loaded))
 
+let test_baseline_rejects_bad_numbers () =
+  (* a lone '-' and an int overflow are typed errors, not exceptions *)
+  List.iter
+    (fun text ->
+      let path = Filename.temp_file "bwclint_test" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let oc = open_out_bin path in
+          output_string oc text;
+          close_out oc;
+          match Baseline.load ~path with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "accepted %s" text))
+    [ "{\"findings\":[-]}"; "{\"findings\":[99999999999999999999999]}" ]
+
 let test_baseline_apply () =
   let old = mk_finding ~rule:"r1" ~file:"a.ml" ~line:3 () in
   let entries = Baseline.of_findings [ old ] in
@@ -674,7 +690,7 @@ let test_json_witness_and_suppressed () =
 let test_json_escaping () =
   Alcotest.(check string)
     "quotes and newlines escaped" "\"a\\\"b\\nc\\\\d\""
-    (Report.json_string "a\"b\nc\\d")
+    (Bwc_json.Json.quote "a\"b\nc\\d")
 
 let test_human_report () =
   let r = lint "let f acc x = acc @ [ x ]\n" in
@@ -798,6 +814,8 @@ let () =
       ( "baseline",
         [
           Alcotest.test_case "roundtrip" `Quick test_baseline_roundtrip;
+          Alcotest.test_case "bad numbers are errors" `Quick
+            test_baseline_rejects_bad_numbers;
           Alcotest.test_case "apply semantics" `Quick test_baseline_apply;
           Alcotest.test_case "symbolic key survives drift" `Quick
             test_baseline_symbolic_key_survives_line_drift;

@@ -399,6 +399,42 @@ let test_csv_export () =
       Alcotest.(check string) "header" "k,rr_central,rr_decentral,queries" header;
       Alcotest.(check int) "row count" (List.length out.Bwc_experiments.Tradeoff.rows) !lines)
 
+let test_json_reports_quote_dataset () =
+  (* the dataset name is a CSV basename: quotes and backslashes must not
+     break the report.  The reports carry floats, which Json does not
+     read, so only the "dataset" member line is decoded. *)
+  let name = "we\"ird\\set.csv/sub32" in
+  let dataset_of write =
+    let path = Filename.temp_file "bwc" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        write path;
+        let ic = open_in_bin path in
+        let text = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        let line =
+          List.find
+            (fun l -> String.starts_with ~prefix:"  \"dataset\": " l)
+            (String.split_on_char '\n' text)
+        in
+        let member = String.sub line 0 (String.length line - 1) (* trailing comma *) in
+        match Bwc_json.Json.of_string ("{" ^ member ^ "}") with
+        | Ok (Bwc_json.Json.Obj [ ("dataset", Bwc_json.Json.Str s) ]) -> s
+        | Ok _ -> Alcotest.fail "dataset is not a string member"
+        | Error e -> Alcotest.failf "dataset member is not JSON: %s" e)
+  in
+  Alcotest.(check string) "overload" name
+    (dataset_of
+       (Bwc_experiments.Overload.save_json
+          { dataset = name; n = 32; ticks = 1; budget = 1; seed = 1; plateau = 0.0;
+            rows = [] }));
+  Alcotest.(check string) "restart" name
+    (dataset_of
+       (Bwc_experiments.Robustness.save_restart_json ~seed:1
+          { dataset = name; n = 32; queries = 0; snapshot_bytes = 0; base_rounds = 0;
+            rr_clean = 0.0; rows = [] }))
+
 let () =
   Alcotest.run "bwc_experiments"
     [
@@ -430,5 +466,7 @@ let () =
           Alcotest.test_case "recovery critical path (E16)" `Slow
             test_recovery_critical_path;
           Alcotest.test_case "csv export" `Quick test_csv_export;
+          Alcotest.test_case "json reports quote the dataset" `Quick
+            test_json_reports_quote_dataset;
         ] );
     ]

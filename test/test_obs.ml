@@ -1,8 +1,9 @@
 (* Tests for bwc_obs: registry semantics (handles, snapshots, diff,
-   JSON round-trip), trace sinks (ordering, ring capacity, JSONL), span
+   JSON rendering), trace sinks (ordering, ring capacity, JSONL), span
    timers, and the end-to-end determinism contract — the same seed and
    fault plan must produce a byte-identical JSONL trace. *)
 
+module Json = Bwc_json.Json
 module Registry = Bwc_obs.Registry
 module Trace = Bwc_obs.Trace
 module Span = Bwc_obs.Span
@@ -126,16 +127,40 @@ let test_diff_and_reset () =
   Alcotest.(check int) "and keep working" 1 (Registry.Counter.value c)
 
 let test_json_round_trip () =
-  let snap = Registry.snapshot (sample_registry ()) in
-  let json = Registry.to_json snap in
-  (match Registry.of_json json with
-  | Ok parsed -> Alcotest.(check bool) "round-trips exactly" true (parsed = snap)
-  | Error e -> Alcotest.failf "of_json failed: %s" e);
-  (* canonical: re-rendering the parsed snapshot is byte-identical *)
-  (match Registry.of_json json with
-  | Ok parsed -> Alcotest.(check string) "canonical" json (Registry.to_json parsed)
-  | Error _ -> ());
-  match Registry.of_json "{\"metrics\":" with
+  let json = Registry.to_json (Registry.snapshot (sample_registry ())) in
+  let metric name labels rest =
+    Json.Obj
+      ([ ("name", Json.Str name);
+         ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)) ]
+      @ rest)
+  in
+  let counter v = [ ("type", Json.Str "counter"); ("value", Json.Int v) ] in
+  let expected =
+    Json.Obj
+      [
+        ( "metrics",
+          Json.Arr
+            [
+              metric "a.drops" [ ("cause", "loss") ] (counter 1);
+              metric "a.drops" [ ("cause", "purge") ] (counter 2);
+              metric "g.depth" [] [ ("type", Json.Str "gauge"); ("value", Json.Int 4) ];
+              metric "q.hops" []
+                [
+                  ("type", Json.Str "histogram"); ("count", Json.Int 3); ("sum", Json.Int 7);
+                  ("max", Json.Int 5); ("p50", Json.Int 3); ("p90", Json.Int 5);
+                  ("p99", Json.Int 5);
+                  ( "buckets",
+                    Json.Arr
+                      (List.map
+                         (fun (b, c) -> Json.Arr [ Json.Int b; Json.Int c ])
+                         [ (0, 1); (2, 1); (3, 1) ]) );
+                ];
+              metric "z.count" [] (counter 3);
+            ] );
+      ]
+  in
+  Alcotest.(check bool) "parses to the expected tree" true (Json.of_string json = Ok expected);
+  match Json.of_string "{\"metrics\":" with
   | Ok _ -> Alcotest.fail "truncated JSON must not parse"
   | Error _ -> ()
 
@@ -212,6 +237,13 @@ let test_trace_jsonl_round_trip () =
     (match Trace.of_jsonl "{\"ev\":\"warp\",\"round\":1}" with
     | Error _ -> true
     | Ok _ -> false)
+
+let test_trace_rejects_wide_unicode_escape () =
+  (* a code point above 0xff has no single-byte decoding: reject it
+     rather than truncate it to its low byte *)
+  match Trace.of_jsonl "{\"ev\":\"restore_rejected\",\"round\":1,\"reason\":\"a\\u0141\"}" with
+  | Ok _ -> Alcotest.fail "\\u0141 decoded"
+  | Error _ -> ()
 
 let test_trace_failure_events_jsonl () =
   (* the failure-detection lifecycle: crash, suspicion, confirmation,
@@ -475,6 +507,8 @@ let () =
         [
           Alcotest.test_case "order and jsonl" `Quick test_trace_order_and_jsonl;
           Alcotest.test_case "jsonl round-trip" `Quick test_trace_jsonl_round_trip;
+          Alcotest.test_case "wide unicode escape rejected" `Quick
+            test_trace_rejects_wide_unicode_escape;
           Alcotest.test_case "failure events jsonl" `Quick
             test_trace_failure_events_jsonl;
           Alcotest.test_case "ring capacity" `Quick test_trace_ring_capacity;

@@ -2,8 +2,8 @@
    to a typed error, never an exception), snapshot round-trip byte
    identity, restart-without-reconvergence (a warm restore is already at
    the fixed point and behaves byte-identically to the system that never
-   crashed), graceful degradation to cold start, detector mid-lease
-   restore, and the crash-restart chaos harness. *)
+   crashed), graceful degradation to cold start, and detector
+   mid-lease restore. *)
 
 module Rng = Bwc_stats.Rng
 module Fault = Bwc_sim.Fault
@@ -16,7 +16,6 @@ module Dynamic = Bwc_core.Dynamic
 module Ensemble = Bwc_predtree.Ensemble
 module Codec = Bwc_persist.Codec
 module Snapshot = Bwc_persist.Snapshot
-module Chaos = Bwc_persist.Chaos
 
 let dataset ~seed n =
   Bwc_dataset.Planetlab.generate ~rng:(Rng.create seed) ~name:"persist-ds"
@@ -403,36 +402,6 @@ let test_rotate_fallback_across_generations () =
           Alcotest.(check (list int)) "every generation reported" [ 0; 1; 2 ]
             (List.map fst rejected))
 
-(* ----- chaos harness ----- *)
-
-let test_chaos_schedule () =
-  let ds = dataset ~seed:21 20 in
-  let make () = System.create ~seed:13 ds in
-  let faults =
-    Fault.create ~rng:(Rng.create 2)
-      ~system_crashes:
-        [
-          { Fault.crash_round = 4; restore_after = 0; corrupt = None };
-          { Fault.crash_round = 9; restore_after = 2; corrupt = Some (Fault.Flip_bits 8) };
-          { Fault.crash_round = 15; restore_after = 1; corrupt = Some Fault.Stale_version };
-          { Fault.crash_round = 20; restore_after = 0; corrupt = None };
-        ]
-      ()
-  in
-  let final, outcome =
-    Chaos.run ~rng:(Rng.create 4) ~faults ~ticks:30 ~cold:make (make ())
-  in
-  Alcotest.(check int) "crashes" 4 outcome.Chaos.crashes;
-  Alcotest.(check int) "warm restores" 2 outcome.Chaos.warm_restores;
-  Alcotest.(check int) "cold restores" 2 outcome.Chaos.cold_restores;
-  Alcotest.(check int) "rejections recorded" 2 (List.length outcome.Chaos.rejections);
-  Alcotest.(check int) "downtime" 3 outcome.Chaos.downtime;
-  (* the survivor serves queries and is at the fixed point *)
-  let rounds = Protocol.run_aggregation (System.protocol final) in
-  Alcotest.(check bool) "stable after chaos" true (rounds <= 2);
-  let q = System.query final ~k:3 ~b:25.0 in
-  Alcotest.(check bool) "query completes" true (q.Bwc_core.Query.hops >= 0)
-
 (* ----- fault plan validation ----- *)
 
 let test_fault_schedule_validation () =
@@ -442,24 +411,7 @@ let test_fault_schedule_validation () =
   in
   bad (fun () ->
       Fault.create ~rng:(Rng.create 2)
-        ~system_crashes:[ { Fault.crash_round = 0; restore_after = 0; corrupt = None } ]
-        ());
-  bad (fun () ->
-      Fault.create ~rng:(Rng.create 2)
-        ~system_crashes:[ { Fault.crash_round = 2; restore_after = -1; corrupt = None } ]
-        ());
-  bad (fun () ->
-      Fault.create ~rng:(Rng.create 2)
-        ~system_crashes:
-          [
-            { Fault.crash_round = 2; restore_after = 0; corrupt = None };
-            { Fault.crash_round = 2; restore_after = 1; corrupt = None };
-          ]
-        ());
-  bad (fun () ->
-      Fault.create ~rng:(Rng.create 2)
-        ~system_crashes:
-          [ { Fault.crash_round = 2; restore_after = 0; corrupt = Some (Fault.Flip_bits 0) } ]
+        ~crashes:[ { Fault.node = 1; down_from = 3; up_at = 3 } ]
         ());
   (* corrupt_snapshot's stale header is the one the codec rejects *)
   let mangled = Fault.corrupt_snapshot ~rng:(Rng.create 1) Fault.Stale_version (Codec.encode "i 1\n") in
@@ -500,6 +452,4 @@ let () =
           Alcotest.test_case "cold fallback" `Quick test_restore_or_cold_falls_back;
           Alcotest.test_case "schedule validation" `Quick test_fault_schedule_validation;
         ] );
-      ( "chaos",
-        [ Alcotest.test_case "crash-restart schedule" `Quick test_chaos_schedule ] );
     ]
