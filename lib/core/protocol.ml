@@ -28,6 +28,15 @@ type message =
   | Ack of { epoch : int; seq : int }
   | Heartbeat
 
+(* Reliable-delivery constants: an unacked update is re-sent after
+   [resend_timeout] rounds, at most [max_retransmits] times before the
+   sender gives up on the peer; a lossy query hop is retried
+   [query_retries] times before routing falls back to the next
+   direction. *)
+let resend_timeout = 3
+let max_retransmits = 16
+let query_retries = 2
+
 type out_entry = {
   mutable epoch : int;
   mutable seq : int;
@@ -38,17 +47,26 @@ type out_entry = {
   mutable gave_up : bool; (* retired unacked after max_retransmits *)
 }
 
+(* One anchor-tree link as its owner sees it: Algorithms 2/3's received
+   tables for this neighbor, the seq/ACK/epoch delivery state in both
+   directions, and the failure-detector lease. *)
+type link = {
+  nb : Node_info.t;                            (* the neighbor *)
+  mutable aggr_node : Node_info.t list option; (* received propNode; None until the first update *)
+  mutable aggr_crt : int array option;         (* received propCRT *)
+  mutable out : out_entry option;              (* last update sent *)
+  mutable seen_seq : int;                      (* highest seq received; -1 = none *)
+  mutable link_epoch : int;                    (* link repair epoch *)
+  mutable last_sent : int;                     (* round of the last send; -1 = never *)
+  mutable lease : Detector.lease option;       (* Some iff a detector runs *)
+}
+
 type node = {
   id : int;
   info : Node_info.t;
-  mutable neighbors : Node_info.t list;
-  aggr_node : (int, Node_info.t list) Hashtbl.t;    (* neighbor -> received propNode *)
-  aggr_crt : (int, int array) Hashtbl.t;            (* neighbor -> received propCRT *)
-  mutable own_row : int array;                      (* aggrCRT[self] *)
-  out : (int, out_entry) Hashtbl.t;                 (* neighbor -> last update sent *)
-  seen_seq : (int, int) Hashtbl.t;                  (* neighbor -> highest seq received *)
-  link_epoch : (int, int) Hashtbl.t;                (* neighbor -> link repair epoch *)
-  last_sent : (int, int) Hashtbl.t;                 (* neighbor -> round of last send *)
+  mutable links : link array;   (* anchor order: parent first, then children *)
+  mutable by_peer : link array; (* the same links, ascending peer id *)
+  mutable own_row : int array;  (* aggrCRT[self] *)
   mutable dirty : bool;
   (* what flavour of traffic the next dirty flush is: Aggregate in steady
      state, escalated to Invalidate/Repair by self-healing so trace
@@ -60,8 +78,6 @@ type t = {
   fw : Ensemble.t;
   classes : Classes.t;
   n_cut : int;
-  resend_timeout : int;
-  max_retransmits : int;
   mutable nodes : node option array; (* indexed by host id; None = not a member *)
   engine : message Engine.t;
   detector : Detector.t option;
@@ -87,56 +103,87 @@ type t = {
 }
 
 let node_of_host fw host = Node_info.make ~host ~labels:(Ensemble.labels fw host)
+let peer l = l.nb.Node_info.host
 
-let neighbor_infos fw host =
-  List.map (node_of_host fw) (Ensemble.anchor_neighbors fw host)
+let fresh_link fw ~lease h =
+  { nb = node_of_host fw h; aggr_node = None; aggr_crt = None; out = None;
+    seen_seq = -1; link_epoch = 0; last_sent = -1; lease }
 
-let fresh_node fw classes host =
-  {
-    id = host;
-    info = node_of_host fw host;
-    neighbors = neighbor_infos fw host;
-    aggr_node = Hashtbl.create 8;
-    aggr_crt = Hashtbl.create 8;
-    own_row = Array.make (Classes.count classes) 1;
-    out = Hashtbl.create 8;
-    seen_seq = Hashtbl.create 8;
-    link_epoch = Hashtbl.create 8;
-    last_sent = Hashtbl.create 8;
-    dirty = true;
-    dirty_kind = Trace.Aggregate;
-  }
+(* the ascending-peer view is computed here, once per rebuild, so the
+   rounds that scan links in peer order never sort *)
+let set_links node links =
+  let by_peer = Array.copy links in
+  Array.sort (fun a b -> compare (peer a) (peer b)) by_peer;
+  node.links <- links;
+  node.by_peer <- by_peer
 
-let node_slots fw classes =
+let find_link node h = Array.find_opt (fun l -> peer l = h) node.links
+
+let new_lease detector ~round = Option.map (fun d -> Detector.lease d ~round) detector
+
+(* links are created in anchor order, so leases draw their jitter slack
+   in that order *)
+let fresh_node fw classes detector ~round host =
+  let node =
+    {
+      id = host;
+      info = node_of_host fw host;
+      links = [||];
+      by_peer = [||];
+      own_row = Array.make (Classes.count classes) 1;
+      dirty = true;
+      dirty_kind = Trace.Aggregate;
+    }
+  in
+  set_links node
+    (Array.of_list
+       (List.map
+          (fun h -> fresh_link fw ~lease:(new_lease detector ~round) h)
+          (Ensemble.anchor_neighbors fw host)));
+  node
+
+let node_slots fw classes detector ~round =
   Array.init (Ensemble.hosts fw) (fun h ->
-      if Ensemble.is_member fw h then Some (fresh_node fw classes h) else None)
+      if Ensemble.is_member fw h then Some (fresh_node fw classes detector ~round h)
+      else None)
 
 let sync_engine_active t =
   Array.iteri
     (fun h slot -> Engine.set_active t.engine h (slot <> None))
     t.nodes
 
-let watch_all t =
-  match t.detector with
-  | None -> ()
-  | Some d ->
-      let round = Engine.round t.engine in
-      Array.iter
-        (function
-          | Some node ->
-              List.iter
-                (fun nb ->
-                  Detector.watch d ~watcher:node.id ~peer:nb.Node_info.host ~round)
-                node.neighbors
-          | None -> ())
-        t.nodes
+let make ~fw ~classes ~n_cut ~nodes ~engine ~detector ~metrics ~trace ~rounds ~epoch
+    ~unacked =
+  {
+    fw;
+    classes;
+    n_cut;
+    nodes;
+    engine;
+    detector;
+    trace;
+    rounds;
+    epoch;
+    on_evict = ignore;
+    unacked;
+    step_changed = false;
+    c_retransmissions = Registry.counter metrics "protocol.retransmissions";
+    c_dup_suppressed = Registry.counter metrics "protocol.dup_suppressed";
+    c_stale_discarded = Registry.counter metrics "protocol.stale_discarded";
+    c_give_up = Registry.counter metrics "protocol.give_up";
+    c_heartbeats = Registry.counter metrics "protocol.heartbeats";
+    c_epoch_discarded = Registry.counter metrics "protocol.epoch_discarded";
+    c_repairs = Registry.counter metrics "protocol.repairs";
+    c_regrafts = Registry.counter metrics "protocol.regrafts";
+    g_unacked = Registry.gauge metrics "protocol.unacked";
+    h_query_hops = Registry.histogram metrics "query.hops";
+    c_query_retries = Registry.counter metrics "query.retries";
+    c_query_hits = Registry.counter metrics "query.hits";
+    c_query_misses = Registry.counter metrics "query.misses";
+  }
 
-let create ~rng ?(n_cut = 10) ?edge_delay ?faults ?(resend_timeout = 3)
-    ?(max_retransmits = 16) ?detector ?metrics ?trace ~classes fw =
+let create ~rng ?(n_cut = 10) ?faults ?detector ?metrics ?trace ~classes fw =
   if n_cut < 1 then invalid_arg "Protocol.create: n_cut < 1";
-  if resend_timeout < 1 then invalid_arg "Protocol.create: resend_timeout < 1";
-  if max_retransmits < 1 then invalid_arg "Protocol.create: max_retransmits < 1";
-  let n = Ensemble.hosts fw in
   let metrics = match metrics with Some m -> m | None -> Registry.create () in
   let detector =
     (* the split keeps the engine's stream untouched relative to
@@ -145,46 +192,22 @@ let create ~rng ?(n_cut = 10) ?edge_delay ?faults ?(resend_timeout = 3)
     | None -> None
     | Some cfg -> Some (Detector.create ~metrics ?trace ~rng:(Rng.split rng) cfg)
   in
+  let engine = Engine.create ?faults ~metrics ?trace ~rng (Ensemble.hosts fw) in
   let t =
-    {
-      fw;
-      classes;
-      n_cut;
-      resend_timeout;
-      max_retransmits;
-      nodes = node_slots fw classes;
-      engine = Engine.create ?edge_delay ?faults ~metrics ?trace ~rng n;
-      detector;
-      trace;
-      rounds = 0;
-      epoch = 0;
-      on_evict = ignore;
-      unacked = 0;
-      step_changed = false;
-      c_retransmissions = Registry.counter metrics "protocol.retransmissions";
-      c_dup_suppressed = Registry.counter metrics "protocol.dup_suppressed";
-      c_stale_discarded = Registry.counter metrics "protocol.stale_discarded";
-      c_give_up = Registry.counter metrics "protocol.give_up";
-      c_heartbeats = Registry.counter metrics "protocol.heartbeats";
-      c_epoch_discarded = Registry.counter metrics "protocol.epoch_discarded";
-      c_repairs = Registry.counter metrics "protocol.repairs";
-      c_regrafts = Registry.counter metrics "protocol.regrafts";
-      g_unacked = Registry.gauge metrics "protocol.unacked";
-      h_query_hops = Registry.histogram metrics "query.hops";
-      c_query_retries = Registry.counter metrics "query.retries";
-      c_query_hits = Registry.counter metrics "query.hits";
-      c_query_misses = Registry.counter metrics "query.misses";
-    }
+    make ~fw ~classes ~n_cut ~engine ~detector ~metrics ~trace ~rounds:0 ~epoch:0
+      ~unacked:0
+      ~nodes:(node_slots fw classes detector ~round:0)
   in
   sync_engine_active t;
-  watch_all t;
   t
 
 let n t =
   Array.fold_left (fun acc slot -> if slot = None then acc else acc + 1) 0 t.nodes
 
+let node_opt t x = if x < 0 || x >= Array.length t.nodes then None else t.nodes.(x)
+
 let get_node t x =
-  match t.nodes.(x) with
+  match node_opt t x with
   | Some node -> node
   | None -> invalid_arg "Protocol: host is not a member"
 
@@ -192,13 +215,9 @@ let n_cut t = t.n_cut
 let classes t = t.classes
 let framework t = t.fw
 let metrics t = Engine.metrics t.engine
-let detector t = t.detector
 let epoch t = t.epoch
 
 let emit t ev = match t.trace with Some tr -> Trace.emit tr ev | None -> ()
-
-let link_epoch_of node h =
-  Option.value ~default:0 (Hashtbl.find_opt node.link_epoch h)
 
 (* ----- traffic labelling (trace attribution) -----
 
@@ -239,30 +258,34 @@ let mark_dirty node kind =
 
 (* every protocol send renews the sender-side idle clock that gates
    heartbeats, so heartbeats only fill genuinely silent gaps *)
-let send_msg t node ~kind ~dst msg =
-  Hashtbl.replace node.last_sent dst (Engine.round t.engine);
-  Engine.send t.engine ~src:node.id ~dst ~kind ~bytes:(message_bytes msg) msg
+let send_msg t node l ~kind msg =
+  l.last_sent <- Engine.round t.engine;
+  Engine.send t.engine ~src:node.id ~dst:(peer l) ~kind ~bytes:(message_bytes msg) msg
 
 (* ----- local state recomputation (Algorithm 3, lines 3-8) ----- *)
 
-(* V_x = {x} union aggrNode[v] for every neighbor v, deduplicated. *)
-let clustering_space_node node =
+(* {x} union aggrNode[v] over every link but the one to [skip],
+   deduplicated, most recently discovered first: V_x (Algorithm 3) skips
+   nothing, propNode (Algorithm 2) skips the recipient. *)
+let gather node ~skip =
   let seen = Hashtbl.create 32 in
   let acc = ref [] in
-  let consider info =
-    if not (Hashtbl.mem seen info.Node_info.host) then begin
-      Hashtbl.add seen info.Node_info.host ();
+  let consider (info : Node_info.t) =
+    let h = info.Node_info.host in
+    if h <> skip && not (Hashtbl.mem seen h) then begin
+      Hashtbl.add seen h ();
       acc := info :: !acc
     end
   in
   consider node.info;
-  List.iter
-    (fun nb ->
-      match Hashtbl.find_opt node.aggr_node nb.Node_info.host with
-      | Some infos -> List.iter consider infos
-      | None -> ())
-    node.neighbors;
-  Array.of_list (List.rev !acc)
+  Array.iter
+    (fun l ->
+      if peer l <> skip then
+        match l.aggr_node with Some infos -> List.iter consider infos | None -> ())
+    node.links;
+  !acc
+
+let clustering_space_node node = Array.of_list (List.rev (gather node ~skip:(-1)))
 
 let recompute_own_row t node =
   let infos = clustering_space_node node in
@@ -278,24 +301,7 @@ let recompute_own_row t node =
 (* Algorithm 2: the n_cut hosts closest to the recipient among
    {x} union aggrNode[v] for v <> recipient. *)
 let prop_node_for t node ~recipient =
-  let seen = Hashtbl.create 32 in
-  let acc = ref [] in
-  let consider info =
-    let h = info.Node_info.host in
-    if h <> recipient.Node_info.host && not (Hashtbl.mem seen h) then begin
-      Hashtbl.add seen h ();
-      acc := info :: !acc
-    end
-  in
-  consider node.info;
-  List.iter
-    (fun nb ->
-      if nb.Node_info.host <> recipient.Node_info.host then
-        match Hashtbl.find_opt node.aggr_node nb.Node_info.host with
-        | Some infos -> List.iter consider infos
-        | None -> ())
-    node.neighbors;
-  let cand = Array.of_list !acc in
+  let cand = Array.of_list (gather node ~skip:recipient.Node_info.host) in
   Array.sort
     (fun a b -> compare (Node_info.dist recipient a) (Node_info.dist recipient b))
     cand;
@@ -305,29 +311,27 @@ let prop_node_for t node ~recipient =
    aggregated column. *)
 let prop_crt_for node ~recipient =
   let out = Array.copy node.own_row in
-  List.iter
-    (fun nb ->
-      if nb.Node_info.host <> recipient.Node_info.host then
-        match Hashtbl.find_opt node.aggr_crt nb.Node_info.host with
-        | Some row ->
-            Array.iteri (fun i v -> if v > out.(i) then out.(i) <- v) row
+  Array.iter
+    (fun l ->
+      if peer l <> recipient then
+        match l.aggr_crt with
+        | Some row -> Array.iteri (fun i v -> if v > out.(i) then out.(i) <- v) row
         | None -> ())
-    node.neighbors;
+    node.links;
   out
 
 let send_updates t node =
   let now = Engine.round t.engine in
-  List.iter
-    (fun nb ->
+  Array.iter
+    (fun l ->
       let payload =
         {
-          prop_node = prop_node_for t node ~recipient:nb;
-          prop_crt = prop_crt_for node ~recipient:nb;
+          prop_node = prop_node_for t node ~recipient:l.nb;
+          prop_crt = prop_crt_for node ~recipient:(peer l);
         }
       in
-      let h = nb.Node_info.host in
-      let le = link_epoch_of node h in
-      match Hashtbl.find_opt node.out h with
+      let le = l.link_epoch in
+      match l.out with
       | Some entry when entry.epoch = le && payload_equal entry.payload payload ->
           (* nothing new; if unacked the resend timer covers the loss *)
           ()
@@ -345,65 +349,65 @@ let send_updates t node =
           end
           else if entry.acked then t.unacked <- t.unacked + 1;
           entry.acked <- false;
-          send_msg t node ~kind:node.dirty_kind ~dst:h
+          send_msg t node l ~kind:node.dirty_kind
             (Update { epoch = le; seq = entry.seq; payload })
       | None ->
-          Hashtbl.replace node.out h
-            {
-              epoch = le;
-              seq = 0;
-              payload;
-              sent_round = now;
-              tries = 0;
-              acked = false;
-              gave_up = false;
-            };
+          l.out <-
+            Some
+              {
+                epoch = le;
+                seq = 0;
+                payload;
+                sent_round = now;
+                tries = 0;
+                acked = false;
+                gave_up = false;
+              };
           t.unacked <- t.unacked + 1;
-          send_msg t node ~kind:node.dirty_kind ~dst:h
-            (Update { epoch = le; seq = 0; payload }))
-    node.neighbors
+          send_msg t node l ~kind:node.dirty_kind (Update { epoch = le; seq = 0; payload }))
+    node.links
 
 (* Timeout-based retransmission: an unacked update is re-sent verbatim
    every [resend_timeout] rounds, so the aggregation survives message
    loss and crash windows.  After [max_retransmits] fruitless tries the
    sender gives up — the entry is retired from the unacked count (the
    peer is presumed dead; quiescence must not hinge on it) but kept, so
-   any later sign of life from the peer revives it. *)
+   any later sign of life from the peer revives it.  Links are visited
+   by ascending peer: the send order decides in-flight FIFO order within
+   a delivery round. *)
 let resend_pending t node =
   let now = Engine.round t.engine in
-  (* sorted traversal: the send order decides in-flight FIFO order within
-     a delivery round, so bucket order here would leak hash-layout
-     nondeterminism into the protocol fixed point *)
-  Bwc_stats.Tbl.iter_sorted
-    (fun h entry ->
-      if
-        (not entry.acked)
-        && (not entry.gave_up)
-        && now - entry.sent_round >= t.resend_timeout
-      then
-        if entry.tries >= t.max_retransmits then begin
-          entry.gave_up <- true;
-          t.unacked <- t.unacked - 1;
-          Registry.Counter.incr t.c_give_up
-        end
-        else begin
-          entry.tries <- entry.tries + 1;
-          entry.sent_round <- now;
-          Registry.Counter.incr t.c_retransmissions;
-          emit t (Trace.Retransmit { round = now; src = node.id; dst = h });
-          send_msg t node ~kind:Trace.Retransmit ~dst:h
-            (Update { epoch = entry.epoch; seq = entry.seq; payload = entry.payload })
-        end)
-    node.out
+  Array.iter
+    (fun l ->
+      match l.out with
+      | Some entry
+        when (not entry.acked)
+             && (not entry.gave_up)
+             && now - entry.sent_round >= resend_timeout ->
+          if entry.tries >= max_retransmits then begin
+            entry.gave_up <- true;
+            t.unacked <- t.unacked - 1;
+            Registry.Counter.incr t.c_give_up
+          end
+          else begin
+            entry.tries <- entry.tries + 1;
+            entry.sent_round <- now;
+            Registry.Counter.incr t.c_retransmissions;
+            emit t (Trace.Retransmit { round = now; src = node.id; dst = peer l });
+            send_msg t node l ~kind:Trace.Retransmit
+              (Update { epoch = entry.epoch; seq = entry.seq; payload = entry.payload })
+          end
+      | Some _ | None -> ())
+    node.by_peer
 
 (* a message from a peer we had given up on proves it alive: restore the
    entry to the unacked pool and let the resend timer fire immediately *)
-let revive_given_up t node src =
-  match Hashtbl.find_opt node.out src with
+let revive_given_up t l =
+  match l.out with
   | Some entry when entry.gave_up ->
       entry.gave_up <- false;
       entry.tries <- 0;
-      entry.sent_round <- Engine.round t.engine - t.resend_timeout;
+      entry.sent_round <- Engine.round t.engine - resend_timeout;
       t.unacked <- t.unacked + 1
   | Some _ | None -> ()
 
@@ -413,90 +417,74 @@ let send_heartbeats t node =
   | Some d ->
       let hb = (Detector.config d).Detector.heartbeat_every in
       let now = Engine.round t.engine in
-      List.iter
-        (fun nb ->
-          let h = nb.Node_info.host in
-          let last =
-            Option.value ~default:(Stdlib.min_int / 2)
-              (Hashtbl.find_opt node.last_sent h)
-          in
-          if now - last >= hb then begin
+      Array.iter
+        (fun l ->
+          if l.last_sent < 0 || now - l.last_sent >= hb then begin
             Registry.Counter.incr t.c_heartbeats;
-            send_msg t node ~kind:Trace.Heartbeat ~dst:h Heartbeat
+            send_msg t node l ~kind:Trace.Heartbeat Heartbeat
           end)
-        node.neighbors
+        node.links
 
 (* ----- round driver ----- *)
 
-let is_neighbor node h =
-  List.exists (fun nb -> nb.Node_info.host = h) node.neighbors
-
-let apply_update t node ~src ~epoch ~seq payload =
-  if not (is_neighbor node src) then begin
-    (* in-flight leftover of a link self-healing already tore down *)
+let apply_update t node l ~epoch ~seq payload =
+  if epoch < l.link_epoch then begin
+    (* predates the link's last repair reset: the fresh numbering must
+       not be contaminated by the old epoch's sequence space *)
     Registry.Counter.incr t.c_epoch_discarded;
     false
   end
   else begin
-    let link_e = link_epoch_of node src in
-    if epoch < link_e then begin
-      (* predates the link's last repair reset: the fresh numbering must
-         not be contaminated by the old epoch's sequence space *)
-      Registry.Counter.incr t.c_epoch_discarded;
+    if epoch > l.link_epoch then begin
+      (* the sender re-established the link first; adopt its epoch and
+         restart the per-link numbering *)
+      l.link_epoch <- epoch;
+      l.seen_seq <- -1
+    end;
+    let seen = l.seen_seq in
+    if seq < seen then begin
+      (* out-of-order copy superseded by something already applied *)
+      Registry.Counter.incr t.c_stale_discarded;
+      send_msg t node l ~kind:Trace.Ack (Ack { epoch; seq = seen });
+      false
+    end
+    else if seq = seen then begin
+      (* duplicate: the aggregation merge is idempotent, so re-applying
+         must be a no-op — check that the stored state already equals the
+         payload, then just re-ack (the previous ack may have been lost) *)
+      Registry.Counter.incr t.c_dup_suppressed;
+      assert (
+        match l.aggr_node with
+        | Some prev -> List.compare Node_info.compare_host prev payload.prop_node = 0
+        | None -> false);
+      assert (
+        match l.aggr_crt with
+        | Some prev -> prev = payload.prop_crt
+        | None -> false);
+      send_msg t node l ~kind:Trace.Ack (Ack { epoch; seq = seen });
       false
     end
     else begin
-      if epoch > link_e then begin
-        (* the sender re-established the link first; adopt its epoch and
-           restart the per-link numbering *)
-        Hashtbl.replace node.link_epoch src epoch;
-        Hashtbl.remove node.seen_seq src
-      end;
-      let seen = Option.value ~default:(-1) (Hashtbl.find_opt node.seen_seq src) in
-      if seq < seen then begin
-        (* out-of-order copy superseded by something already applied *)
-        Registry.Counter.incr t.c_stale_discarded;
-        send_msg t node ~kind:Trace.Ack ~dst:src (Ack { epoch; seq = seen });
-        false
-      end
-      else if seq = seen then begin
-        (* duplicate: the aggregation merge is idempotent, so re-applying
-           must be a no-op — check that the stored state already equals the
-           payload, then just re-ack (the previous ack may have been lost) *)
-        Registry.Counter.incr t.c_dup_suppressed;
-        assert (
-          match Hashtbl.find_opt node.aggr_node src with
-          | Some prev -> List.compare Node_info.compare_host prev payload.prop_node = 0
-          | None -> false);
-        assert (
-          match Hashtbl.find_opt node.aggr_crt src with
-          | Some prev -> prev = payload.prop_crt
-          | None -> false);
-        send_msg t node ~kind:Trace.Ack ~dst:src (Ack { epoch; seq = seen });
-        false
-      end
-      else begin
-        Hashtbl.replace node.seen_seq src seq;
-        send_msg t node ~kind:Trace.Ack ~dst:src (Ack { epoch; seq });
-        let node_diff =
-          match Hashtbl.find_opt node.aggr_node src with
-          | Some prev -> List.compare Node_info.compare_host prev payload.prop_node <> 0
-          | None -> true
-        in
-        if node_diff then Hashtbl.replace node.aggr_node src payload.prop_node;
-        let crt_diff =
-          match Hashtbl.find_opt node.aggr_crt src with
-          | Some prev -> prev <> payload.prop_crt
-          | None -> true
-        in
-        if crt_diff then Hashtbl.replace node.aggr_crt src payload.prop_crt;
-        node_diff || crt_diff
-      end
+      l.seen_seq <- seq;
+      send_msg t node l ~kind:Trace.Ack (Ack { epoch; seq });
+      let node_diff =
+        match l.aggr_node with
+        | Some prev -> List.compare Node_info.compare_host prev payload.prop_node <> 0
+        | None -> true
+      in
+      if node_diff then l.aggr_node <- Some payload.prop_node;
+      let crt_diff =
+        match l.aggr_crt with
+        | Some prev -> prev <> payload.prop_crt
+        | None -> true
+      in
+      if crt_diff then l.aggr_crt <- Some payload.prop_crt;
+      node_diff || crt_diff
     end
   end
 
-let apply_ack t node ~src ~epoch ~seq =
-  match Hashtbl.find_opt node.out src with
+let apply_ack t l ~epoch ~seq =
+  match l.out with
   | Some entry when (not entry.acked) && epoch = entry.epoch && seq = entry.seq ->
       entry.acked <- true;
       if entry.gave_up then entry.gave_up <- false
@@ -511,15 +499,22 @@ let step t id inbox =
   let changed = ref node.dirty in
   List.iter
     (fun (src, msg) ->
-      (match t.detector with
-      | Some d -> Detector.heard d ~watcher:id ~peer:src ~round:now
-      | None -> ());
-      revive_given_up t node src;
-      match msg with
-      | Update { epoch; seq; payload } ->
-          if apply_update t node ~src ~epoch ~seq payload then changed := true
-      | Ack { epoch; seq } -> apply_ack t node ~src ~epoch ~seq
-      | Heartbeat -> ())
+      match find_link node src with
+      | None -> (
+          (* in-flight leftover of a link self-healing already tore down *)
+          match msg with
+          | Update _ -> Registry.Counter.incr t.c_epoch_discarded
+          | Ack _ | Heartbeat -> ())
+      | Some l -> (
+          (match l.lease with
+          | Some lease -> Detector.heard lease ~round:now
+          | None -> ());
+          revive_given_up t l;
+          match msg with
+          | Update { epoch; seq; payload } ->
+              if apply_update t node l ~epoch ~seq payload then changed := true
+          | Ack { epoch; seq } -> apply_ack t l ~epoch ~seq
+          | Heartbeat -> ()))
     inbox;
   if !changed then begin
     recompute_own_row t node;
@@ -531,6 +526,43 @@ let step t id inbox =
   resend_pending t node;
   send_heartbeats t node;
   !changed
+
+(* ----- failure detection ----- *)
+
+(* every lease, by (watcher, peer) ascending *)
+let fold_leases f acc t =
+  Array.fold_left
+    (fun acc -> function
+      | Some node ->
+          Array.fold_left
+            (fun acc l -> match l.lease with Some lease -> f acc node l lease | None -> acc)
+            acc node.by_peer
+      | None -> acc)
+    acc t.nodes
+
+(* Lease expiry at the end of a round.  The scan order decides
+   trace-event order and the order repairs are applied in.  A dead
+   watcher hears nothing by definition; its frozen leases must not let
+   it condemn its (live) peers.  Returns the sorted, deduplicated peers
+   newly confirmed dead. *)
+let expire_leases t d =
+  let round = Engine.round t.engine in
+  List.sort_uniq compare
+    (fold_leases
+       (fun acc node l lease ->
+         if
+           Engine.is_active t.engine node.id
+           && Detector.expire d lease ~round ~watcher:node.id ~peer:(peer l)
+         then peer l :: acc
+         else acc)
+       [] t)
+
+let lease_pending t =
+  match t.detector with
+  | None -> false
+  | Some d ->
+      let round = Engine.round t.engine in
+      fold_leases (fun acc _ _ lease -> acc || Detector.pending d lease ~round) false t
 
 (* ----- self-healing repair (confirmed-dead eviction) ----- *)
 
@@ -545,29 +577,47 @@ let rec mark_root_path t x =
   | Some p -> mark_root_path t p
   | None -> ()
 
-(* forget an unacked live entry towards [peer] before dropping it *)
-let drop_out_entry t node peer =
-  (match Hashtbl.find_opt node.out peer with
+(* forget an unacked live entry before dropping it *)
+let drop_out_entry t l =
+  (match l.out with
   | Some e when (not e.acked) && not e.gave_up -> t.unacked <- t.unacked - 1
   | Some _ | None -> ());
-  Hashtbl.remove node.out peer
+  l.out <- None
+
+(* re-read [node]'s anchor neighborhood after an eviction: surviving
+   links keep their state, links to departed neighbors retire their
+   pending output, and new neighbors get a fresh link whose lease
+   {!relink} establishes *)
+let rebuild_links t node =
+  let links =
+    Array.of_list
+      (List.map
+         (fun h ->
+           match find_link node h with
+           | Some l -> l
+           | None -> fresh_link t.fw ~lease:None h)
+         (Ensemble.anchor_neighbors t.fw node.id))
+  in
+  Array.iter (fun l -> if not (Array.memq l links) then drop_out_entry t l) node.links;
+  set_links node links
 
 (* (re-)establish the live link [a]<->[b] at the current repair epoch:
-   per-link delivery state restarts from scratch on both sides *)
+   per-link delivery state and the lease restart from scratch on both
+   sides *)
 let relink t ~round a b =
   let half x y =
     match t.nodes.(x) with
     | None -> ()
     | Some node ->
-        drop_out_entry t node y;
-        Hashtbl.remove node.seen_seq y;
-        Hashtbl.remove node.last_sent y;
-        Hashtbl.replace node.link_epoch y t.epoch;
-        node.neighbors <- neighbor_infos t.fw x;
-        mark_dirty node Trace.Repair;
-        (match t.detector with
-        | Some d -> Detector.watch d ~watcher:x ~peer:y ~round
-        | None -> ())
+        (match find_link node y with
+        | Some l ->
+            drop_out_entry t l;
+            l.seen_seq <- -1;
+            l.last_sent <- -1;
+            l.link_epoch <- t.epoch;
+            l.lease <- new_lease t.detector ~round
+        | None -> ());
+        mark_dirty node Trace.Repair
   in
   half a b;
   half b a
@@ -579,40 +629,23 @@ let repair_one t dead_h =
       let now = Engine.round t.engine in
       Registry.Counter.incr t.c_repairs;
       (* retire the dead node's own pending output from the global count *)
-      Bwc_stats.Tbl.iter_sorted
-        (fun _ e -> if (not e.acked) && not e.gave_up then t.unacked <- t.unacked - 1)
-        dnode.out;
-      let old_nbrs =
-        List.sort compare (List.map (fun nb -> nb.Node_info.host) dnode.neighbors)
-      in
+      Array.iter (drop_out_entry t) dnode.links;
+      let old_nbrs = Array.map peer dnode.by_peer in
       (* local overlay repair: orphans regraft to the grandparent *)
       let regrafts = Ensemble.evict_host t.fw dead_h in
       t.nodes.(dead_h) <- None;
       Engine.set_active t.engine dead_h false;
-      (match t.detector with
-      | Some d ->
-          List.iter
-            (fun x ->
-              Detector.unwatch d ~watcher:x ~peer:dead_h;
-              Detector.unwatch d ~watcher:dead_h ~peer:x)
-            old_nbrs
-      | None -> ());
       (* incremental invalidation: only the dead node's ex-neighbors hold
          direct state about it; on a tree nothing else can echo it back
          (recompute-and-replace propagation overwrites downstream copies),
-         so deleting here and re-propagating re-converges the overlay *)
-      List.iter
+         so dropping their links to it and re-propagating re-converges
+         the overlay *)
+      Array.iter
         (fun x ->
           match t.nodes.(x) with
           | None -> ()
           | Some node ->
-              drop_out_entry t node dead_h;
-              Hashtbl.remove node.aggr_node dead_h;
-              Hashtbl.remove node.aggr_crt dead_h;
-              Hashtbl.remove node.seen_seq dead_h;
-              Hashtbl.remove node.link_epoch dead_h;
-              Hashtbl.remove node.last_sent dead_h;
-              node.neighbors <- neighbor_infos t.fw x;
+              rebuild_links t node;
               mark_dirty node Trace.Invalidate)
         old_nbrs;
       List.iter
@@ -653,14 +686,12 @@ let run_round t =
          between retransmission timeouts *)
       active || t.unacked > 0
   | Some d ->
-      let round = Engine.round t.engine in
-      let confirmed = Detector.tick d ~round ~live:(Engine.is_active t.engine) in
-      repair t ~dead:confirmed;
+      repair t ~dead:(expire_leases t d);
       (* heartbeats keep the engine's in-flight count permanently
          non-zero, so the engine's own activity notion is useless here:
          the protocol is live while state changed, updates await acks, or
          a detector lease is running out *)
-      t.step_changed || t.unacked > 0 || Detector.pending d ~round
+      t.step_changed || t.unacked > 0 || lease_pending t
 
 let run_aggregation ?max_rounds t =
   let max_rounds =
@@ -681,20 +712,23 @@ let run_aggregation ?max_rounds t =
 let clustering_space t x = clustering_space_node (get_node t x)
 
 let routing_suspects t ~at h =
-  match t.detector with
+  match node_opt t at with
   | None -> false
-  | Some d -> Detector.suspects d ~watcher:at ~peer:h
+  | Some node -> (
+      match find_link node h with
+      | Some { lease = Some lease; _ } -> Detector.suspects lease
+      | Some { lease = None; _ } | None -> false)
 
 (* failure-detector detour: directions under suspicion become last
    resorts — probably dead, but not yet written off *)
-let detour t x ordered =
-  match t.detector with
-  | None -> ordered
-  | Some d ->
-      let suspected, healthy =
-        List.partition (fun (h, _) -> Detector.suspects d ~watcher:x ~peer:h) ordered
-      in
-      healthy @ suspected
+let detour ordered =
+  let suspected, healthy =
+    List.partition
+      (fun (l, _) ->
+        match l.lease with Some lease -> Detector.suspects lease | None -> false)
+      ordered
+  in
+  healthy @ suspected
 
 let local_find t node ~k ~cls =
   let infos = clustering_space_node node in
@@ -703,18 +737,9 @@ let local_find t node ~k ~cls =
   | None -> None
   | Some idxs -> Some (List.map (fun i -> infos.(i).Node_info.host) idxs)
 
-let query ?(policy = `Best_crt) ?hop_budget ?(retries = 2) t ~at ~k ~cls =
+let query ?(policy = `Best_crt) t ~at ~k ~cls =
   if k < 2 then invalid_arg "Protocol.query: k < 2";
   if cls < 0 || cls >= Classes.count t.classes then invalid_arg "Protocol.query: bad class";
-  if retries < 0 then invalid_arg "Protocol.query: negative retries";
-  let hop_budget =
-    (* a routing path on the anchor tree is simple, so n hops is already
-       unreachable — the default budget changes nothing on healthy runs *)
-    match hop_budget with
-    | Some h when h < 0 -> invalid_arg "Protocol.query: negative hop budget"
-    | Some h -> h
-    | None -> Array.length t.nodes
-  in
   let faults = Engine.faults t.engine in
   let round = Engine.round t.engine in
   let retries_used = ref 0 in
@@ -727,8 +752,8 @@ let query ?(policy = `Best_crt) ?hop_budget ?(retries = 2) t ~at ~k ~cls =
     { Query.cluster; hops; retries = !retries_used; path = List.rev path }
   in
   (* A hop to a dead or partitioned neighbor fails outright; a lossy link
-     gets up to [retries] retransmissions before the router falls back to
-     the next qualifying neighbor. *)
+     gets up to [query_retries] retransmissions before the router falls
+     back to the next qualifying neighbor. *)
   let rec first_reachable x = function
     | [] -> None
     | h :: rest ->
@@ -743,9 +768,11 @@ let query ?(policy = `Best_crt) ?hop_budget ?(retries = 2) t ~at ~k ~cls =
               attempt (tries_left - 1)
             end
           in
-          if attempt retries then Some h else first_reachable x rest
+          if attempt query_retries then Some h else first_reachable x rest
         end
   in
+  (* a routing path on the anchor tree is simple, so n hops is already
+     unreachable: the budget only guards against a routing loop *)
   let rec go x ~from ~path ~budget =
     let node = get_node t x in
     if node.own_row.(cls) >= k then result (local_find t node ~k ~cls) ~path
@@ -757,15 +784,14 @@ let query ?(policy = `Best_crt) ?hop_budget ?(retries = 2) t ~at ~k ~cls =
          size, `First keeps neighbor order.  Later candidates are
          fallbacks for dead, partitioned or persistently lossy hops. *)
       let qualifying =
-        List.filter_map
-          (fun nb ->
-            let h = nb.Node_info.host in
-            if Some h = from then None
+        Array.fold_right
+          (fun l acc ->
+            if Some (peer l) = from then acc
             else
-              match Hashtbl.find_opt node.aggr_crt h with
-              | Some row when row.(cls) >= k -> Some (h, row.(cls))
-              | Some _ | None -> None)
-          node.neighbors
+              match l.aggr_crt with
+              | Some row when row.(cls) >= k -> (l, row.(cls)) :: acc
+              | Some _ | None -> acc)
+          node.links []
       in
       let ordered =
         match policy with
@@ -774,7 +800,7 @@ let query ?(policy = `Best_crt) ?hop_budget ?(retries = 2) t ~at ~k ~cls =
             (* stable sort: equal promises keep neighbor order *)
             List.stable_sort (fun (_, a) (_, b) -> compare b a) qualifying
       in
-      match first_reachable x (List.map fst (detour t x ordered)) with
+      match first_reachable x (List.map (fun (l, _) -> peer l) (detour ordered)) with
       | Some next ->
           emit t
             (Trace.Query_hop
@@ -788,37 +814,35 @@ let query ?(policy = `Best_crt) ?hop_budget ?(retries = 2) t ~at ~k ~cls =
      crashed right now is a runtime condition (miss) *)
   let (_ : node) = get_node t at in
   if not (Engine.is_active t.engine at) then result None ~path:[ at ]
-  else go at ~from:None ~path:[ at ] ~budget:hop_budget
+  else go at ~from:None ~path:[ at ] ~budget:(Array.length t.nodes)
 
-let query_bandwidth ?policy ?hop_budget ?retries t ~at ~k ~b =
+let query_bandwidth ?policy t ~at ~k ~b =
   match Classes.class_for t.classes ~b with
-  | Some cls -> query ?policy ?hop_budget ?retries t ~at ~k ~cls
+  | Some cls -> query ?policy t ~at ~k ~cls
   | None -> Query.not_found_at at
 
+let neighbors t x = Array.to_list (Array.map peer (get_node t x).links)
+
+let link_or_raise node m =
+  match find_link node m with Some l -> l | None -> raise Not_found
+
 let aggregated_nodes t x m =
-  let node = get_node t x in
-  if not (List.exists (fun nb -> nb.Node_info.host = m) node.neighbors) then
-    raise Not_found
-  else match Hashtbl.find_opt node.aggr_node m with Some l -> l | None -> []
+  Option.value ~default:[] (link_or_raise (get_node t x) m).aggr_node
 
 let crt_row t x v =
   let node = get_node t x in
   if v = x then Array.copy node.own_row
-  else if not (List.exists (fun nb -> nb.Node_info.host = v) node.neighbors) then
-    raise Not_found
   else
-    match Hashtbl.find_opt node.aggr_crt v with
+    match (link_or_raise node v).aggr_crt with
     | Some row -> Array.copy row
     | None -> Array.make (Classes.count t.classes) 0
 
 let max_reachable t x ~cls =
   let node = get_node t x in
-  List.fold_left
-    (fun acc nb ->
-      match Hashtbl.find_opt node.aggr_crt nb.Node_info.host with
-      | Some row -> Stdlib.max acc row.(cls)
-      | None -> acc)
-    node.own_row.(cls) node.neighbors
+  Array.fold_left
+    (fun acc l ->
+      match l.aggr_crt with Some row -> Stdlib.max acc row.(cls) | None -> acc)
+    node.own_row.(cls) node.links
 
 let messages_sent t = Engine.messages_sent t.engine
 let rounds_run t = t.rounds
@@ -841,11 +865,10 @@ let mark_all_dirty t =
    is deliberately absent: a whole-system crash loses the network, and
    that is exactly the loss the seq/ACK + retransmission layer already
    recovers from — unacked out entries resume their resend timers after a
-   restore.  Neighbor lists and node infos are {e not} dumped either;
-   they are always derived from the ensemble, which travels alongside. *)
+   restore.  Neighbor infos are {e not} dumped either; they are always
+   derived from the ensemble, which travels alongside. *)
 
 type out_dump = {
-  o_peer : int;
   o_epoch : int;
   o_seq : int;
   o_prop_node : Node_info.t list;
@@ -856,98 +879,87 @@ type out_dump = {
   o_gave_up : bool;
 }
 
+type link_dump = {
+  l_peer : int;
+  l_aggr_node : Node_info.t list option;
+  l_aggr_crt : int array option;
+  l_out : out_dump option;
+  l_seen_seq : int;
+  l_epoch : int;
+  l_last_sent : int;
+  l_lease : Detector.lease option;
+}
+
 type node_dump = {
   nd_id : int;
   nd_active : bool; (* engine liveness: a crashed-but-not-evicted member *)
   nd_dirty : bool;
   nd_own_row : int array;
-  nd_aggr_node : (int * Node_info.t list) list; (* ascending neighbor id *)
-  nd_aggr_crt : (int * int array) list;
-  nd_out : out_dump list;
-  nd_seen_seq : (int * int) list;
-  nd_link_epoch : (int * int) list;
-  nd_last_sent : (int * int) list;
+  nd_links : link_dump list; (* ascending peer id, exactly the anchor neighbors *)
 }
 
 type dump = {
   d_n_cut : int;
-  d_resend_timeout : int;
-  d_max_retransmits : int;
   d_rounds : int;
   d_epoch : int;
   d_engine_round : int;
   d_engine_rng : int64;
   d_nodes : node_dump list; (* ascending host id, members only *)
-  d_detector : Detector.dump option;
+  d_detector : (Detector.config * int64) option; (* config, jitter generator *)
 }
 
-let sorted_assoc tbl = List.map (fun k -> (k, Hashtbl.find tbl k)) (Bwc_stats.Tbl.sorted_keys tbl)
+let copy_lease (l : Detector.lease) = { l with Detector.last_heard = l.Detector.last_heard }
+
+let dump_link l =
+  {
+    l_peer = peer l;
+    l_aggr_node = l.aggr_node;
+    l_aggr_crt = l.aggr_crt;
+    l_out =
+      Option.map
+        (fun (e : out_entry) ->
+          { o_epoch = e.epoch; o_seq = e.seq; o_prop_node = e.payload.prop_node;
+            o_prop_crt = e.payload.prop_crt; o_sent_round = e.sent_round;
+            o_tries = e.tries; o_acked = e.acked; o_gave_up = e.gave_up })
+        l.out;
+    l_seen_seq = l.seen_seq;
+    l_epoch = l.link_epoch;
+    l_last_sent = l.last_sent;
+    l_lease = Option.map copy_lease l.lease;
+  }
 
 let dump t =
-  let nodes = ref [] in
-  for id = Array.length t.nodes - 1 downto 0 do
-    match t.nodes.(id) with
-    | None -> ()
-    | Some node ->
-        let out =
-          List.map
-            (fun (peer, (e : out_entry)) ->
-              {
-                o_peer = peer;
-                o_epoch = e.epoch;
-                o_seq = e.seq;
-                o_prop_node = e.payload.prop_node;
-                o_prop_crt = e.payload.prop_crt;
-                o_sent_round = e.sent_round;
-                o_tries = e.tries;
-                o_acked = e.acked;
-                o_gave_up = e.gave_up;
-              })
-            (sorted_assoc node.out)
-        in
-        nodes :=
-          {
-            nd_id = id;
-            nd_active = Engine.is_active t.engine id;
-            nd_dirty = node.dirty;
-            nd_own_row = Array.copy node.own_row;
-            nd_aggr_node = sorted_assoc node.aggr_node;
-            nd_aggr_crt = sorted_assoc node.aggr_crt;
-            nd_out = out;
-            nd_seen_seq = sorted_assoc node.seen_seq;
-            nd_link_epoch = sorted_assoc node.link_epoch;
-            nd_last_sent = sorted_assoc node.last_sent;
-          }
-          :: !nodes
-  done;
+  let dump_node node =
+    { nd_id = node.id; nd_active = Engine.is_active t.engine node.id; nd_dirty = node.dirty;
+      nd_own_row = Array.copy node.own_row;
+      nd_links = List.map dump_link (Array.to_list node.by_peer) }
+  in
   {
     d_n_cut = t.n_cut;
-    d_resend_timeout = t.resend_timeout;
-    d_max_retransmits = t.max_retransmits;
     d_rounds = t.rounds;
     d_epoch = t.epoch;
     d_engine_round = Engine.round t.engine;
     d_engine_rng = Engine.rng_state t.engine;
-    d_nodes = !nodes;
-    d_detector = Option.map Detector.dump t.detector;
+    d_nodes = List.filter_map (Option.map dump_node) (Array.to_list t.nodes);
+    d_detector =
+      Option.map (fun d -> (Detector.config d, Detector.rng_state d)) t.detector;
   }
 
-let of_dump ?edge_delay ?faults ?metrics ?trace ~classes fw d =
+let of_dump ?faults ?metrics ?trace ~classes fw d =
   let fail msg = invalid_arg ("Protocol.of_dump: " ^ msg) in
   if d.d_n_cut < 1 then fail "n_cut < 1";
-  if d.d_resend_timeout < 1 then fail "resend_timeout < 1";
-  if d.d_max_retransmits < 1 then fail "max_retransmits < 1";
   if d.d_rounds < 0 || d.d_engine_round < 0 || d.d_epoch < 0 then fail "negative clock";
   let n = Ensemble.hosts fw in
   let n_classes = Classes.count classes in
   let n_trees = Ensemble.size fw in
   let metrics = match metrics with Some m -> m | None -> Registry.create () in
-  let engine =
-    Engine.create ?edge_delay ?faults ~metrics ?trace
-      ~rng:(Rng.of_state d.d_engine_rng) n
-  in
+  let engine = Engine.create ?faults ~metrics ?trace ~rng:(Rng.of_state d.d_engine_rng) n in
   Engine.restore_round engine d.d_engine_round;
-  let detector = Option.map (Detector.of_dump ~metrics ?trace) d.d_detector in
+  let detector =
+    Option.map
+      (fun (cfg, rng) -> Detector.create ~metrics ?trace ~rng:(Rng.of_state rng) cfg)
+      d.d_detector
+  in
   (* membership must match the ensemble exactly: every dumped node a
      member, every member dumped *)
   let dumped_ids = List.map (fun nd -> nd.nd_id) d.d_nodes in
@@ -960,99 +972,59 @@ let of_dump ?edge_delay ?faults ?metrics ?trace ~classes fw d =
     if Array.length info.Node_info.labels <> n_trees then fail "info label arity mismatch"
   in
   let check_row row = if Array.length row <> n_classes then fail "CRT row arity mismatch" in
-  let nodes = Array.make n None in
   let unacked = ref 0 in
-  List.iter
-    (fun nd ->
-      let nbrs = Ensemble.anchor_neighbors fw nd.nd_id in
-      let check_peer p = if not (List.mem p nbrs) then fail "state keyed by a non-neighbor" in
-      check_row nd.nd_own_row;
-      Array.iter (fun v -> if v < 0 then fail "negative cluster size") nd.nd_own_row;
-      let node = fresh_node fw classes nd.nd_id in
-      node.own_row <- Array.copy nd.nd_own_row;
-      node.dirty <- nd.nd_dirty;
-      List.iter
-        (fun (p, infos) ->
-          check_peer p;
-          List.iter check_info infos;
-          Hashtbl.replace node.aggr_node p infos)
-        nd.nd_aggr_node;
-      List.iter
-        (fun (p, row) ->
-          check_peer p;
-          check_row row;
-          Hashtbl.replace node.aggr_crt p (Array.copy row))
-        nd.nd_aggr_crt;
-      List.iter
+  let restore_link l ld =
+    Option.iter (List.iter check_info) ld.l_aggr_node;
+    Option.iter check_row ld.l_aggr_crt;
+    if ld.l_seen_seq < -1 then fail "seen seq below -1";
+    if ld.l_epoch < 0 || ld.l_epoch > d.d_epoch then fail "link epoch out of range";
+    if ld.l_last_sent < -1 || ld.l_last_sent > d.d_engine_round then
+      fail "send stamp out of range";
+    (match (detector, ld.l_lease) with
+    | Some det, Some lease ->
+        if lease.Detector.slack < 0 || lease.Detector.slack > (Detector.config det).Detector.jitter
+        then fail "lease slack outside the jitter range"
+    | None, None -> ()
+    | Some _, None | None, Some _ -> fail "lease presence disagrees with the detector");
+    l.out <-
+      Option.map
         (fun o ->
-          check_peer o.o_peer;
           if o.o_epoch < 0 || o.o_epoch > d.d_epoch then fail "out entry epoch out of range";
           if o.o_seq < 0 || o.o_tries < 0 then fail "negative out entry field";
           if o.o_sent_round > d.d_engine_round then fail "out entry from the future";
           check_row o.o_prop_crt;
           List.iter check_info o.o_prop_node;
           if (not o.o_acked) && not o.o_gave_up then incr unacked;
-          Hashtbl.replace node.out o.o_peer
-            {
-              epoch = o.o_epoch;
-              seq = o.o_seq;
-              payload = { prop_node = o.o_prop_node; prop_crt = Array.copy o.o_prop_crt };
-              sent_round = o.o_sent_round;
-              tries = o.o_tries;
-              acked = o.o_acked;
-              gave_up = o.o_gave_up;
-            })
-        nd.nd_out;
-      List.iter
-        (fun (p, s) ->
-          check_peer p;
-          if s < 0 then fail "negative seen seq";
-          Hashtbl.replace node.seen_seq p s)
-        nd.nd_seen_seq;
-      List.iter
-        (fun (p, e) ->
-          check_peer p;
-          if e < 0 || e > d.d_epoch then fail "link epoch out of range";
-          Hashtbl.replace node.link_epoch p e)
-        nd.nd_link_epoch;
-      List.iter
-        (fun (p, r) ->
-          check_peer p;
-          if r > d.d_engine_round then fail "send stamp from the future";
-          Hashtbl.replace node.last_sent p r)
-        nd.nd_last_sent;
+          { epoch = o.o_epoch; seq = o.o_seq;
+            payload = { prop_node = o.o_prop_node; prop_crt = Array.copy o.o_prop_crt };
+            sent_round = o.o_sent_round; tries = o.o_tries; acked = o.o_acked;
+            gave_up = o.o_gave_up })
+        ld.l_out;
+    l.aggr_node <- ld.l_aggr_node;
+    l.aggr_crt <- Option.map Array.copy ld.l_aggr_crt;
+    l.seen_seq <- ld.l_seen_seq;
+    l.link_epoch <- ld.l_epoch;
+    l.last_sent <- ld.l_last_sent;
+    l.lease <- Option.map copy_lease ld.l_lease
+  in
+  let nodes = Array.make n None in
+  List.iter
+    (fun nd ->
+      check_row nd.nd_own_row;
+      Array.iter (fun v -> if v < 0 then fail "negative cluster size") nd.nd_own_row;
+      let node = fresh_node fw classes None ~round:0 nd.nd_id in
+      (* one link per anchor neighbor, listed once, ascending: anything
+         else would re-encode to different bytes *)
+      if List.map (fun ld -> ld.l_peer) nd.nd_links <> Array.to_list (Array.map peer node.by_peer)
+      then fail "links are not the anchor neighbors in ascending order";
+      List.iteri (fun i ld -> restore_link node.by_peer.(i) ld) nd.nd_links;
+      node.own_row <- Array.copy nd.nd_own_row;
+      node.dirty <- nd.nd_dirty;
       nodes.(nd.nd_id) <- Some node)
     d.d_nodes;
   let t =
-    {
-      fw;
-      classes;
-      n_cut = d.d_n_cut;
-      resend_timeout = d.d_resend_timeout;
-      max_retransmits = d.d_max_retransmits;
-      nodes;
-      engine;
-      detector;
-      trace;
-      rounds = d.d_rounds;
-      epoch = d.d_epoch;
-      on_evict = ignore;
-      unacked = !unacked;
-      step_changed = false;
-      c_retransmissions = Registry.counter metrics "protocol.retransmissions";
-      c_dup_suppressed = Registry.counter metrics "protocol.dup_suppressed";
-      c_stale_discarded = Registry.counter metrics "protocol.stale_discarded";
-      c_give_up = Registry.counter metrics "protocol.give_up";
-      c_heartbeats = Registry.counter metrics "protocol.heartbeats";
-      c_epoch_discarded = Registry.counter metrics "protocol.epoch_discarded";
-      c_repairs = Registry.counter metrics "protocol.repairs";
-      c_regrafts = Registry.counter metrics "protocol.regrafts";
-      g_unacked = Registry.gauge metrics "protocol.unacked";
-      h_query_hops = Registry.histogram metrics "query.hops";
-      c_query_retries = Registry.counter metrics "query.retries";
-      c_query_hits = Registry.counter metrics "query.hits";
-      c_query_misses = Registry.counter metrics "query.misses";
-    }
+    make ~fw ~classes ~n_cut:d.d_n_cut ~nodes ~engine ~detector ~metrics ~trace
+      ~rounds:d.d_rounds ~epoch:d.d_epoch ~unacked:!unacked
   in
   (* liveness from the dump, not from membership: a crashed-but-not-yet-
      evicted member restores as crashed *)
@@ -1068,16 +1040,12 @@ let current_round t = Engine.round t.engine
 
 (* Rebuilding the slots from scratch both refreshes labels/neighborhoods
    after a framework change and tracks membership changes (joins create a
-   slot, leaves clear one).  In-flight traffic belongs to the old
-   topology and sequence numbering, so it is discarded wholesale — the
-   fresh slots repropagate everything anyway. *)
+   slot, leaves clear one); every fresh link gets a fresh lease.
+   In-flight traffic belongs to the old topology and sequence numbering,
+   so it is discarded wholesale — the fresh slots repropagate everything
+   anyway. *)
 let refresh_topology t =
-  t.nodes <- node_slots t.fw t.classes;
+  t.nodes <- node_slots t.fw t.classes t.detector ~round:(Engine.round t.engine);
   t.unacked <- 0;
   Engine.clear_in_flight t.engine;
-  sync_engine_active t;
-  match t.detector with
-  | None -> ()
-  | Some d ->
-      Detector.clear d;
-      watch_all t
+  sync_engine_active t

@@ -20,27 +20,32 @@
     The implementation runs on the round-based {!Bwc_sim.Engine}; each
     round every host consumes its inbox, updates its tables, and
     (re)propagates to neighbors when something changed, so a static
-    network reaches quiescence and [run_until_stable] detects it.
+    network reaches quiescence and {!run_aggregation} detects it.
+
+    Each host keeps one {e link} per anchor-tree neighbor: the
+    neighbor's [aggrNode]/[aggrCRT] as last received, the seq/ACK/epoch
+    delivery state in both directions and, with a detector, the
+    neighbor's lease.  Links are rebuilt only when the neighborhood
+    changes (repair, {!refresh_topology}).
 
     Delivery is made reliable against an unreliable network
     ({!Bwc_sim.Fault}): every update carries a per-link sequence number,
     receivers acknowledge the highest sequence seen and discard
     duplicates and out-of-order copies (the merge is idempotent, which
     is asserted), and senders retransmit unacknowledged updates on a
-    timeout.  The aggregation therefore converges to the same fixed
-    point under message loss, duplication, reordering jitter and
+    timeout (3 rounds).  The aggregation therefore converges to the same
+    fixed point under message loss, duplication, reordering jitter and
     crash/restart windows as on a reliable network — it just takes more
-    rounds and messages (tested; measured by the robustness
-    experiment).  Retransmission is bounded: after [max_retransmits]
-    fruitless tries the sender {e gives up} on the peer (counted under
-    [protocol.give_up]) so quiescence never hinges on a host that is
-    gone for good; any later sign of life from the peer revives the
-    retired update.
+    rounds and messages (tested; measured by the robustness experiment).
+    Retransmission is bounded: after 16 fruitless tries the sender
+    {e gives up} on the peer (counted under [protocol.give_up]) so
+    quiescence never hinges on a host that is gone for good; any later
+    sign of life from the peer revives the retired update.
 
     With a [detector] config the protocol additionally runs the
-    {!Detector} failure detector over the anchor-tree edges (heartbeats
-    fill silent links) and {e self-heals}: a confirmed-dead node is
-    evicted from the ensemble ({!Bwc_predtree.Ensemble.evict_host},
+    {!Detector} lease policy on every link (heartbeats fill silent
+    links) and {e self-heals}: a confirmed-dead node is evicted from the
+    ensemble ({!Bwc_predtree.Ensemble.evict_host},
     orphaned overlay children regraft to their grandparent), aggregate
     state about it is invalidated only at its ex-neighbors and along the
     regraft points' root paths (epoch-versioned links fence off in-flight
@@ -53,10 +58,7 @@ type t
 val create :
   rng:Bwc_stats.Rng.t ->
   ?n_cut:int ->
-  ?edge_delay:(src:int -> dst:int -> int) ->
   ?faults:Bwc_sim.Fault.t ->
-  ?resend_timeout:int ->
-  ?max_retransmits:int ->
   ?detector:Detector.config ->
   ?metrics:Bwc_obs.Registry.t ->
   ?trace:Bwc_obs.Trace.t ->
@@ -64,22 +66,19 @@ val create :
   Bwc_predtree.Ensemble.t ->
   t
 (** [n_cut] (default 10) bounds the per-neighbor node-information payload
-    — the decentralization knob of Sec. IV-B.  [edge_delay] gives overlay
-    links heterogeneous (FIFO) delivery delays in rounds; the aggregation
-    converges to the same tables regardless (tested), it just takes
-    proportionally longer.  [faults] (default {!Bwc_sim.Fault.none})
-    injects message loss, duplication, jitter, partitions and
-    crash/restart windows.  [resend_timeout] (default 3) is how many
-    rounds an update stays unacknowledged before it is retransmitted;
-    [max_retransmits] (default 16) bounds how often before the sender
-    gives up on the peer.  With a fault plan that never heals (a
-    permanent crash or partition) and no [detector], the survivors give
-    up and quiesce without the dead peer's state repaired; with a
-    [detector] (off when omitted; see {!Detector.default_config}) the
-    dead peer is detected, evicted and healed around.  The detector
-    draws its (optional) jitter from a split of [rng]; omitting
-    [detector] leaves the RNG stream — and therefore detector-less runs
-    — untouched.
+    — the decentralization knob of Sec. IV-B.  [faults] (default
+    {!Bwc_sim.Fault.none}) injects message loss, duplication, jitter,
+    partitions and crash/restart windows; the aggregation converges to
+    the same tables regardless (tested), it just takes more rounds.  An
+    update stays unacknowledged for 3 rounds before it is retransmitted,
+    and the sender gives up on the peer after 16 fruitless
+    retransmissions.  With a fault plan that never heals (a permanent
+    crash or partition) and no [detector], the survivors give up and
+    quiesce without the dead peer's state repaired; with a [detector]
+    (off when omitted; see {!Detector.default_config}) the dead peer is
+    detected, evicted and healed around.  The detector draws its
+    (optional) jitter from a split of [rng]; omitting [detector] leaves
+    the RNG stream — and therefore detector-less runs — untouched.
 
     [metrics] is the registry the protocol {e and} its engine write to
     ([protocol.retransmissions], [protocol.dup_suppressed],
@@ -118,7 +117,7 @@ val crash_host : t -> int -> unit
 (** Silently kills a member host: it stops stepping, and traffic to and
     from it is purged/dropped.  Nothing else is told — with a detector
     the survivors find out through lease expiry; without one they give
-    up on it after [max_retransmits].  Emits a [Crash] trace event.
+    up on it after 16 fruitless retransmissions.  Emits a [Crash] trace event.
     Raises [Invalid_argument] for non-members. *)
 
 val repair : t -> dead:int list -> unit
@@ -138,22 +137,23 @@ val set_on_evict : t -> (int -> unit) -> unit
     delta instead of rebuilding.  The previous observer is replaced;
     [create] installs a no-op. *)
 
-val detector : t -> Detector.t option
-(** The failure detector, when [create] was given a config. *)
+val lease_pending : t -> bool
+(** [true] while some link's lease is running towards expiry (a peer has
+    been silent past the heartbeat horizon; see {!Detector.pending}).
+    Always [false] without a detector. *)
 
 val epoch : t -> int
 (** The current repair epoch (bumped once per repair batch; 0 before any
     repair). *)
 
 val routing_suspects : t -> at:int -> int -> bool
-(** [routing_suspects t ~at h]: whether [at]'s failure detector currently
-    suspects (or has confirmed) [h], i.e. whether query routing at [at]
-    should detour around [h].  Always [false] without a detector. *)
+(** [routing_suspects t ~at h]: whether the lease on [at]'s link to [h]
+    is suspected (or confirmed dead), i.e. whether query routing at [at]
+    should detour around [h].  Always [false] without a detector, for a
+    non-neighbor [h] and for a non-member [at]. *)
 
 val query :
   ?policy:[ `Best_crt | `First ] ->
-  ?hop_budget:int ->
-  ?retries:int ->
   t -> at:int -> k:int -> cls:int -> Query.result
 (** Algorithm 4: submit the query for [k] hosts of class [cls] at host
     [at].  The paper forwards to "any" neighbor whose CRT column promises
@@ -163,17 +163,14 @@ val query :
 
     Robustness: a hop to a dead or partitioned neighbor falls back to the
     next qualifying neighbor; a hop over a lossy link is retried up to
-    [retries] times (default 2) before falling back; with a detector,
-    directions the local failure detector suspects become last resorts
-    (tried only when every healthy direction fails); [hop_budget]
-    (default [n], unreachable on a simple tree path) caps the total
-    number of forwardings.  A query submitted at a dead host is an
+    2 times before falling back; with a detector, directions whose lease
+    is suspected become last resorts (tried only when every healthy
+    direction fails).  The total number of forwardings is capped at [n],
+    which a simple tree path never reaches.  A query submitted at a dead host is an
     immediate miss. *)
 
 val query_bandwidth :
   ?policy:[ `Best_crt | `First ] ->
-  ?hop_budget:int ->
-  ?retries:int ->
   t -> at:int -> k:int -> b:float -> Query.result
 (** Convenience: maps [b] to the cheapest class that guarantees it; a miss
     when no class covers [b]. *)
@@ -181,6 +178,12 @@ val query_bandwidth :
 val clustering_space : t -> int -> Node_info.t array
 (** [V_x]: the host itself plus everything aggregated from its neighbors
     (the space Algorithms 3 and 4 cluster in). *)
+
+val neighbors : t -> int -> int list
+(** [neighbors t x]: the peers of [x]'s links in the order they are
+    served (parent first, then children in the anchor's order) — always
+    {!Bwc_predtree.Ensemble.anchor_neighbors} of the framework as of the
+    last repair or {!refresh_topology}. *)
 
 val aggregated_nodes : t -> int -> int -> Node_info.t list
 (** [aggregated_nodes t x m]: [x]'s [aggrNode[m]] — the node information
@@ -218,7 +221,7 @@ val stale_discarded : t -> int
     discarded ([protocol.stale_discarded]). *)
 
 val give_ups : t -> int
-(** Updates retired unacknowledged after [max_retransmits] fruitless
+(** Updates retired unacknowledged after 16 fruitless
     retransmissions ([protocol.give_up]). *)
 
 val heartbeats_sent : t -> int
@@ -250,13 +253,12 @@ val current_round : t -> int
     traffic is deliberately absent: a whole-system crash loses the
     network, and that is exactly the loss the seq/ACK + retransmission
     layer already recovers from — restored unacked out-entries resume
-    their resend timers.  Neighbor lists and node infos are not dumped
-    either; they are re-derived from the ensemble, which must be
-    restored alongside (see {!Bwc_predtree.Ensemble.of_dump}).  Metrics
-    counters restart from zero. *)
+    their resend timers.  Node infos are not dumped either; they are
+    re-derived from the ensemble, which must be restored alongside (see
+    {!Bwc_predtree.Ensemble.of_dump}).  Metrics counters restart from
+    zero. *)
 
 type out_dump = {
-  o_peer : int;
   o_epoch : int;
   o_seq : int;
   o_prop_node : Node_info.t list;
@@ -267,37 +269,42 @@ type out_dump = {
   o_gave_up : bool;
 }
 
+type link_dump = {
+  l_peer : int;
+  l_aggr_node : Node_info.t list option;  (** [None]: nothing received yet *)
+  l_aggr_crt : int array option;
+  l_out : out_dump option;  (** the last update sent, if any *)
+  l_seen_seq : int;  (** highest sequence number received; [-1] for none *)
+  l_epoch : int;  (** link repair epoch *)
+  l_last_sent : int;  (** round of the last send; [-1] for never *)
+  l_lease : Detector.lease option;  (** present iff a detector runs *)
+}
+
 type node_dump = {
   nd_id : int;
   nd_active : bool;
-      (** engine liveness — a crashed-but-not-yet-evicted member restores
-          as crashed *)
+      (** engine liveness — a crashed-but-not-yet-evicted member
+          restores as crashed *)
   nd_dirty : bool;
   nd_own_row : int array;
-  nd_aggr_node : (int * Node_info.t list) list;  (** ascending neighbor id *)
-  nd_aggr_crt : (int * int array) list;
-  nd_out : out_dump list;
-  nd_seen_seq : (int * int) list;
-  nd_link_epoch : (int * int) list;
-  nd_last_sent : (int * int) list;
+  nd_links : link_dump list;
+      (** exactly the anchor neighbors, ascending peer id, each once *)
 }
 
 type dump = {
   d_n_cut : int;
-  d_resend_timeout : int;
-  d_max_retransmits : int;
   d_rounds : int;
   d_epoch : int;
   d_engine_round : int;
   d_engine_rng : int64;
   d_nodes : node_dump list;  (** ascending host id, members only *)
-  d_detector : Detector.dump option;
+  d_detector : (Detector.config * int64) option;
+      (** the detector config and its jitter generator's state *)
 }
 
 val dump : t -> dump
 
 val of_dump :
-  ?edge_delay:(src:int -> dst:int -> int) ->
   ?faults:Bwc_sim.Fault.t ->
   ?metrics:Bwc_obs.Registry.t ->
   ?trace:Bwc_obs.Trace.t ->
@@ -309,10 +316,12 @@ val of_dump :
     ensemble.  The engine restarts at the dumped round with the dumped
     RNG state, so a same-seed run resumed from a snapshot at quiescence
     is indistinguishable from one that never crashed.  Validates
-    membership agreement with the ensemble, neighbor-keyed table
-    integrity, arity of CRT rows and label vectors, and clock/epoch
-    bounds; raises [Invalid_argument] on any violation.  [pending_unacked]
-    is recomputed from the out-entries, never trusted from the file. *)
+    membership agreement with the ensemble, that each node lists exactly
+    its anchor neighbors' links in ascending order (so the dump is
+    canonical: [dump (of_dump d) = d]), arity of CRT rows and label
+    vectors, clock/epoch bounds, lease presence and slack range; raises
+    [Invalid_argument] on any violation.  [pending_unacked] is
+    recomputed from the out-entries, never trusted from the file. *)
 
 val mark_all_dirty : t -> unit
 (** Forces every host to recompute and repropagate — used after the
@@ -322,7 +331,7 @@ val refresh_topology : t -> unit
 (** Re-reads membership, labels and anchor neighborhoods from the
     framework (after joins, leaves, {!Bwc_predtree.Framework.refresh_host}
     or a rebuild), clears stale aggregation state, and marks everything
-    dirty.  Aggregation then reconverges with further rounds.  With a
-    detector, all lease state is reset and the fresh edges are watched
-    from the current round.  Functions taking a host raise
+    dirty.  Aggregation then reconverges with further rounds.  Every
+    link is rebuilt; with a detector each gets a fresh lease renewed as
+    of the current round.  Functions taking a host raise
     [Invalid_argument] for non-members. *)

@@ -25,7 +25,7 @@
      an explicit staleness bound instead of blocking on reconvergence;
    - mode transitions (backlog-driven degraded mode) and the watchdog
      (stalled convergence fires a repair: forced refresh + degraded
-     mode, consulting Detector.pending for overdue heartbeats);
+     mode, consulting Protocol.lease_pending for overdue heartbeats);
    - snapshot scheduling ([take_snapshot_request] tells the driver to
      rotate one out through Lifecycle; the reactor itself does no IO). *)
 
@@ -33,7 +33,6 @@ module Rng = Bwc_stats.Rng
 module Dataset = Bwc_dataset.Dataset
 module Dynamic = Bwc_core.Dynamic
 module Protocol = Bwc_core.Protocol
-module Detector = Bwc_core.Detector
 module Registry = Bwc_obs.Registry
 module Trace = Bwc_obs.Trace
 
@@ -405,12 +404,7 @@ let stabilization t ~now =
 
 let watchdog t ~now =
   if t.dirty && now - t.dirty_since >= t.config.stall_after then begin
-    let p = Dynamic.protocol t.dyn in
-    let pending =
-      match Protocol.detector p with
-      | Some d -> Detector.pending d ~round:(Protocol.current_round p)
-      | None -> false
-    in
+    let pending = Protocol.lease_pending (Dynamic.protocol t.dyn) in
     bump t "daemon.watchdog_fires" [];
     emit t
       (Trace.Daemon_watchdog { round = now; pending; stalled = now - t.dirty_since });

@@ -82,6 +82,18 @@ val save_csv : output -> string -> unit
     separately as [heartbeats]): the oracle arm pays for no detection, so
     only repair propagation is compared like for like. *)
 
+val measure_rr_at :
+  seed:int -> queries:int -> hosts:int array -> lo:float -> hi:float ->
+  Bwc_core.Protocol.t -> float
+(** The fraction of a seeded query stream the protocol answers: [queries]
+    draws of a submission host from [hosts], a size in [2, 7] and a
+    bandwidth in [[lo, hi]]. *)
+
+val pick_victims : rng:Bwc_stats.Rng.t -> Bwc_predtree.Ensemble.t -> int -> int list
+(** [pick_victims ~rng ens v]: up to [v] pairwise non-adjacent, non-root
+    members of the primary anchor overlay, so each crash repair is a
+    local event. *)
+
 type recovery_row = {
   victims : int;           (** hosts actually crashed this row *)
   healed : bool;           (** all victims repaired and quiescent in time *)

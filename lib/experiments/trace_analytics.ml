@@ -1,8 +1,6 @@
 module Rng = Bwc_stats.Rng
 module Dataset = Bwc_dataset.Dataset
 module Ensemble = Bwc_predtree.Ensemble
-module Framework = Bwc_predtree.Framework
-module Anchor = Bwc_predtree.Anchor
 module Fault = Bwc_sim.Fault
 module Protocol = Bwc_core.Protocol
 module Detector = Bwc_core.Detector
@@ -35,35 +33,6 @@ type row = {
 }
 
 type output = { dataset : string; n : int; seed : int; rows : row list }
-
-(* same convention as Robustness.pick_victims: non-root, pairwise
-   non-adjacent members of the primary anchor overlay *)
-let pick_victims ~rng ens v =
-  let anchor = Framework.anchor (Ensemble.primary ens) in
-  let root = Anchor.root anchor in
-  let rec pick chosen remaining k =
-    if k = 0 || remaining = [] then List.rev chosen
-    else begin
-      let arr = Array.of_list remaining in
-      let h = arr.(Rng.int rng (Array.length arr)) in
-      let nbrs = Anchor.neighbors anchor h in
-      let remaining =
-        List.filter (fun x -> x <> h && not (List.mem x nbrs)) remaining
-      in
-      pick (h :: chosen) remaining (k - 1)
-    end
-  in
-  pick [] (List.filter (fun h -> h <> root) (Ensemble.members ens)) v
-
-(* queries land on live members only: crash recovery evicts victims *)
-let replay_queries ~seed ~queries ~hosts ~lo ~hi protocol =
-  let rng = Rng.create seed in
-  for _ = 1 to queries do
-    let at = hosts.(Rng.int rng (Array.length hosts)) in
-    let k = 2 + Rng.int rng 6 in
-    let b = Rng.uniform rng lo hi in
-    ignore (Protocol.query_bandwidth protocol ~at ~k ~b)
-  done
 
 let row_of ~scenario ~engine_sends report =
   let kinds =
@@ -122,7 +91,7 @@ let recovery_events ?(victims = 2) ?(queries = 40) ?(max_rounds = 400)
     build_system ~detector:Detector.default_config ~n_cut ~class_count
       ~max_rounds ~seed dataset
   in
-  let chosen = pick_victims ~rng:(Rng.create (seed + 11)) ens victims in
+  let chosen = Robustness.pick_victims ~rng:(Rng.create (seed + 11)) ens victims in
   let vcount = List.length chosen in
   List.iter (Protocol.crash_host p) chosen;
   let rec heal i =
@@ -133,7 +102,7 @@ let recovery_events ?(victims = 2) ?(queries = 40) ?(max_rounds = 400)
   in
   heal 0;
   let live = Array.of_list (Ensemble.members ens) in
-  replay_queries ~seed:(seed + 3) ~queries ~hosts:live ~lo ~hi p;
+  let (_ : float) = Robustness.measure_rr_at ~seed:(seed + 3) ~queries ~hosts:live ~lo ~hi p in
   (Trace.events trace, Protocol.messages_sent p)
 
 let run ?(drop = 0.1) ?(duplicate = 0.05) ?(jitter = 1) ?(victims = 2)
@@ -143,7 +112,9 @@ let run ?(drop = 0.1) ?(duplicate = 0.05) ?(jitter = 1) ?(victims = 2)
   let lo, hi = Workload.bandwidth_range dataset in
   let all_hosts = Array.init n Fun.id in
   let finish ~scenario p trace =
-    replay_queries ~seed:(seed + 3) ~queries ~hosts:all_hosts ~lo ~hi p;
+    let (_ : float) =
+      Robustness.measure_rr_at ~seed:(seed + 3) ~queries ~hosts:all_hosts ~lo ~hi p
+    in
     let report = Causal.analyze (Trace.events trace) in
     row_of ~scenario ~engine_sends:(Protocol.messages_sent p) report
   in

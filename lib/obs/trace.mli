@@ -113,7 +113,7 @@ type event =
   | Daemon_watchdog of { round : int; pending : bool; stalled : int }
       (** the watchdog fired: convergence has been stalled for [stalled]
           ticks; [pending] is whether the failure detector also reports
-          overdue heartbeats ({!Bwc_core.Detector.pending}) *)
+          overdue heartbeats ({!Bwc_core.Protocol.lease_pending}) *)
 
 type t
 (** A sink. *)

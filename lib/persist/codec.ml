@@ -53,9 +53,12 @@ let crc32 s =
   !c lxor 0xffffffff
 
 let magic = "BWCSNAP"
-(* 2: the approximate-index fields of version 1 are gone, so a v1 image
-   is refused as [Bad_version 1] instead of being mis-parsed *)
-let version = 2
+(* 2: the approximate-index fields of version 1 are gone.  3: protocol
+   state is one ascending-peer list of links per node, leases included,
+   instead of per-table neighbor maps and a separate detector edge list.
+   Older images are refused as [Bad_version v] instead of being
+   mis-parsed. *)
+let version = 3
 
 let encode payload =
   Printf.sprintf "%s %d\nlen %d crc %08x\n%s" magic version

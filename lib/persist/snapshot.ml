@@ -209,58 +209,7 @@ let dec_ensemble r : Ensemble.dump =
   R.tag r "ensemble";
   R.array r (fun () -> dec_framework r)
 
-(* ----- detector ----- *)
-
-let enc_detector w (d : Detector.dump) =
-  W.tag w "detector";
-  W.int w d.Detector.d_config.Detector.heartbeat_every;
-  W.int w d.Detector.d_config.Detector.suspect_after;
-  W.int w d.Detector.d_config.Detector.confirm_after;
-  W.int w d.Detector.d_config.Detector.jitter;
-  W.i64 w d.Detector.d_rng;
-  W.list w
-    (fun (e : Detector.edge_dump) ->
-      W.int w e.Detector.d_watcher;
-      W.int w e.Detector.d_peer;
-      W.int w e.Detector.d_last_heard;
-      W.int w
-        (match e.Detector.d_state with
-        | Detector.Alive -> 0
-        | Detector.Suspected -> 1
-        | Detector.Confirmed -> 2);
-      W.int w e.Detector.d_slack)
-    d.Detector.d_edges
-
-let dec_detector r : Detector.dump =
-  R.tag r "detector";
-  let heartbeat_every = R.int r in
-  let suspect_after = R.int r in
-  let confirm_after = R.int r in
-  let jitter = R.int r in
-  let d_rng = R.i64 r in
-  let d_edges =
-    R.list r (fun () ->
-        let d_watcher = R.int r in
-        let d_peer = R.int r in
-        let d_last_heard = R.int r in
-        let d_state =
-          match R.int r with
-          | 0 -> Detector.Alive
-          | 1 -> Detector.Suspected
-          | 2 -> Detector.Confirmed
-          | v -> Codec.corrupt "unknown detector state %d" v
-        in
-        let d_slack = R.int r in
-        { Detector.d_watcher; d_peer; d_last_heard; d_state; d_slack })
-  in
-  {
-    Detector.d_config =
-      { Detector.heartbeat_every; suspect_after; confirm_after; jitter };
-    d_rng;
-    d_edges;
-  }
-
-(* ----- protocol ----- *)
+(* ----- protocol: one ascending-peer list of links per node ----- *)
 
 let enc_info w (ni : Node_info.t) =
   W.int w ni.Node_info.host;
@@ -271,24 +220,72 @@ let dec_info r =
   let labels = R.array r (fun () -> dec_label r) in
   Node_info.make ~host ~labels
 
-let enc_int_assoc w items =
-  W.list w
-    (fun (k, v) ->
-      W.int w k;
-      W.int w v)
-    items
+let enc_out w (o : Protocol.out_dump) =
+  W.int w o.Protocol.o_epoch;
+  W.int w o.Protocol.o_seq;
+  W.list w (enc_info w) o.Protocol.o_prop_node;
+  W.array w (W.int w) o.Protocol.o_prop_crt;
+  W.int w o.Protocol.o_sent_round;
+  W.int w o.Protocol.o_tries;
+  W.bool w o.Protocol.o_acked;
+  W.bool w o.Protocol.o_gave_up
 
-let dec_int_assoc r =
-  R.list r (fun () ->
-      let k = R.int r in
-      let v = R.int r in
-      (k, v))
+let dec_out r : Protocol.out_dump =
+  let o_epoch = R.int r in
+  let o_seq = R.int r in
+  let o_prop_node = R.list r (fun () -> dec_info r) in
+  let o_prop_crt = R.array r (fun () -> R.int r) in
+  let o_sent_round = R.int r in
+  let o_tries = R.int r in
+  let o_acked = R.bool r in
+  let o_gave_up = R.bool r in
+  { Protocol.o_epoch; o_seq; o_prop_node; o_prop_crt; o_sent_round; o_tries; o_acked; o_gave_up }
+
+let enc_lease w (l : Detector.lease) =
+  W.int w l.Detector.last_heard;
+  W.int w
+    (match l.Detector.state with
+    | Detector.Alive -> 0
+    | Detector.Suspected -> 1
+    | Detector.Confirmed -> 2);
+  W.int w l.Detector.slack
+
+let dec_lease r : Detector.lease =
+  let last_heard = R.int r in
+  let state =
+    match R.int r with
+    | 0 -> Detector.Alive
+    | 1 -> Detector.Suspected
+    | 2 -> Detector.Confirmed
+    | v -> Codec.corrupt "unknown lease state %d" v
+  in
+  let slack = R.int r in
+  { Detector.last_heard; state; slack }
+
+let enc_link w (l : Protocol.link_dump) =
+  W.int w l.Protocol.l_peer;
+  W.option w (W.list w (enc_info w)) l.Protocol.l_aggr_node;
+  W.option w (W.array w (W.int w)) l.Protocol.l_aggr_crt;
+  W.option w (enc_out w) l.Protocol.l_out;
+  W.int w l.Protocol.l_seen_seq;
+  W.int w l.Protocol.l_epoch;
+  W.int w l.Protocol.l_last_sent;
+  W.option w (enc_lease w) l.Protocol.l_lease
+
+let dec_link r : Protocol.link_dump =
+  let l_peer = R.int r in
+  let l_aggr_node = R.option r (fun () -> R.list r (fun () -> dec_info r)) in
+  let l_aggr_crt = R.option r (fun () -> R.array r (fun () -> R.int r)) in
+  let l_out = R.option r (fun () -> dec_out r) in
+  let l_seen_seq = R.int r in
+  let l_epoch = R.int r in
+  let l_last_sent = R.int r in
+  let l_lease = R.option r (fun () -> dec_lease r) in
+  { Protocol.l_peer; l_aggr_node; l_aggr_crt; l_out; l_seen_seq; l_epoch; l_last_sent; l_lease }
 
 let enc_protocol w (d : Protocol.dump) =
   W.tag w "protocol";
   W.int w d.Protocol.d_n_cut;
-  W.int w d.Protocol.d_resend_timeout;
-  W.int w d.Protocol.d_max_retransmits;
   W.int w d.Protocol.d_rounds;
   W.int w d.Protocol.d_epoch;
   W.int w d.Protocol.d_engine_round;
@@ -299,39 +296,20 @@ let enc_protocol w (d : Protocol.dump) =
       W.bool w nd.Protocol.nd_active;
       W.bool w nd.Protocol.nd_dirty;
       W.array w (W.int w) nd.Protocol.nd_own_row;
-      W.list w
-        (fun (peer, infos) ->
-          W.int w peer;
-          W.list w (enc_info w) infos)
-        nd.Protocol.nd_aggr_node;
-      W.list w
-        (fun (peer, row) ->
-          W.int w peer;
-          W.array w (W.int w) row)
-        nd.Protocol.nd_aggr_crt;
-      W.list w
-        (fun (o : Protocol.out_dump) ->
-          W.int w o.Protocol.o_peer;
-          W.int w o.Protocol.o_epoch;
-          W.int w o.Protocol.o_seq;
-          W.list w (enc_info w) o.Protocol.o_prop_node;
-          W.array w (W.int w) o.Protocol.o_prop_crt;
-          W.int w o.Protocol.o_sent_round;
-          W.int w o.Protocol.o_tries;
-          W.bool w o.Protocol.o_acked;
-          W.bool w o.Protocol.o_gave_up)
-        nd.Protocol.nd_out;
-      enc_int_assoc w nd.Protocol.nd_seen_seq;
-      enc_int_assoc w nd.Protocol.nd_link_epoch;
-      enc_int_assoc w nd.Protocol.nd_last_sent)
+      W.list w (enc_link w) nd.Protocol.nd_links)
     d.Protocol.d_nodes;
-  W.option w (enc_detector w) d.Protocol.d_detector
+  W.option w
+    (fun ((cfg : Detector.config), rng) ->
+      W.int w cfg.Detector.heartbeat_every;
+      W.int w cfg.Detector.suspect_after;
+      W.int w cfg.Detector.confirm_after;
+      W.int w cfg.Detector.jitter;
+      W.i64 w rng)
+    d.Protocol.d_detector
 
 let dec_protocol r : Protocol.dump =
   R.tag r "protocol";
   let d_n_cut = R.int r in
-  let d_resend_timeout = R.int r in
-  let d_max_retransmits = R.int r in
   let d_rounds = R.int r in
   let d_epoch = R.int r in
   let d_engine_round = R.int r in
@@ -342,69 +320,19 @@ let dec_protocol r : Protocol.dump =
         let nd_active = R.bool r in
         let nd_dirty = R.bool r in
         let nd_own_row = R.array r (fun () -> R.int r) in
-        let nd_aggr_node =
-          R.list r (fun () ->
-              let peer = R.int r in
-              let infos = R.list r (fun () -> dec_info r) in
-              (peer, infos))
-        in
-        let nd_aggr_crt =
-          R.list r (fun () ->
-              let peer = R.int r in
-              let row = R.array r (fun () -> R.int r) in
-              (peer, row))
-        in
-        let nd_out =
-          R.list r (fun () ->
-              let o_peer = R.int r in
-              let o_epoch = R.int r in
-              let o_seq = R.int r in
-              let o_prop_node = R.list r (fun () -> dec_info r) in
-              let o_prop_crt = R.array r (fun () -> R.int r) in
-              let o_sent_round = R.int r in
-              let o_tries = R.int r in
-              let o_acked = R.bool r in
-              let o_gave_up = R.bool r in
-              {
-                Protocol.o_peer;
-                o_epoch;
-                o_seq;
-                o_prop_node;
-                o_prop_crt;
-                o_sent_round;
-                o_tries;
-                o_acked;
-                o_gave_up;
-              })
-        in
-        let nd_seen_seq = dec_int_assoc r in
-        let nd_link_epoch = dec_int_assoc r in
-        let nd_last_sent = dec_int_assoc r in
-        {
-          Protocol.nd_id;
-          nd_active;
-          nd_dirty;
-          nd_own_row;
-          nd_aggr_node;
-          nd_aggr_crt;
-          nd_out;
-          nd_seen_seq;
-          nd_link_epoch;
-          nd_last_sent;
-        })
+        let nd_links = R.list r (fun () -> dec_link r) in
+        { Protocol.nd_id; nd_active; nd_dirty; nd_own_row; nd_links })
   in
-  let d_detector = R.option r (fun () -> dec_detector r) in
-  {
-    Protocol.d_n_cut;
-    d_resend_timeout;
-    d_max_retransmits;
-    d_rounds;
-    d_epoch;
-    d_engine_round;
-    d_engine_rng;
-    d_nodes;
-    d_detector;
-  }
+  let d_detector =
+    R.option r (fun () ->
+        let heartbeat_every = R.int r in
+        let suspect_after = R.int r in
+        let confirm_after = R.int r in
+        let jitter = R.int r in
+        let rng = R.i64 r in
+        ({ Detector.heartbeat_every; suspect_after; confirm_after; jitter }, rng))
+  in
+  { Protocol.d_n_cut; d_rounds; d_epoch; d_engine_round; d_engine_rng; d_nodes; d_detector }
 
 (* ----- centralized index ----- *)
 

@@ -3,10 +3,10 @@
     A snapshot captures everything durable a running system holds:
     the dataset matrix, bandwidth classes, the full prediction-tree
     geometry of every tree in the ensemble (vertices, edge weights,
-    anchor overlay, distance labels), the aggregation protocol's
-    per-link seq/ACK/epoch state and pending out-entries, the failure
-    detector's per-edge lease clocks and suspicion states, both RNG
-    streams, and the centralized index counts (when materialised).  A
+    anchor overlay, distance labels), the aggregation protocol's links
+    (per anchor neighbor: received tables, seq/ACK/epoch state, pending
+    out-entry, failure-detector lease clock and suspicion state), the
+    RNG streams, and the centralized index counts (when materialised).  A
     {!decode} therefore yields a system that answers queries
     immediately and resumes aggregation mid-epoch — restart without
     reconvergence.

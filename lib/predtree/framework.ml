@@ -104,11 +104,17 @@ let rebuild ~rng t =
   t.anchor <- Anchor.create ();
   List.iter (insert ~rng t) (members t)
 
+(* [evict_host] keeps a dead host's geometry while other placements
+   depend on it, and a host placed against that geometry could be
+   anchored to the dead host: insertions after such an eviction rebuild
+   from the members instead *)
+let holds_dead_geometry t = List.exists (fun h -> not (is_member t h)) (Tree.hosts t.tree)
+
 let add_host ~rng t h =
   check_host t h;
   if is_member t h then invalid_arg "Framework.add_host: already a member";
   t.rev_order <- h :: t.rev_order;
-  insert ~rng t h
+  if holds_dead_geometry t then rebuild ~rng t else insert ~rng t h
 
 (* Splice the leaf out when nothing anchors beneath it; otherwise rebuild
    the whole framework from the remaining members (their labels would
@@ -157,7 +163,7 @@ let evict_host t h =
 let refresh_host ~rng t h =
   check_host t h;
   if not (is_member t h) then invalid_arg "Framework.refresh_host: not a member";
-  if Anchor.root t.anchor = h then rebuild ~rng t
+  if Anchor.root t.anchor = h || holds_dead_geometry t then rebuild ~rng t
   else begin
     let removable =
       match Tree.remove_host t.tree ~host:h with

@@ -73,8 +73,11 @@ val relative_errors : ?c:float -> t -> float array
 
 val add_host : rng:Bwc_stats.Rng.t -> t -> int -> unit
 (** A host joins the system: it is placed into the prediction tree and the
-    anchor overlay exactly as during [build].  The host must be a point of
-    the underlying space and not yet a member. *)
+    anchor overlay exactly as during [build] — unless an earlier
+    {!evict_host} left a dead host's geometry behind, in which case the
+    framework is rebuilt from its members (a newcomer must never be
+    anchored to a dead host).  The host must be a point of the
+    underlying space and not yet a member. *)
 
 val remove_host : rng:Bwc_stats.Rng.t -> t -> int -> unit
 (** A host leaves.  When nothing anchors beneath it the leaf is spliced
@@ -89,15 +92,16 @@ val evict_host : t -> int -> (int * int) list
     {!Anchor.remove_node} (orphaned children regraft to the grandparent; a
     dead root promotes its smallest child).  Prediction-tree geometry the
     host anchored is retained, so surviving labels stay valid — the price
-    of not being able to re-measure on a crash.  Returns the
+    of not being able to re-measure on a crash; the next {!add_host} or
+    {!refresh_host} rebuilds it away.  Returns the
     [(child, new_parent)] overlay regrafts.  Evicting a non-member or the
     last member raises [Invalid_argument]. *)
 
 val refresh_host : rng:Bwc_stats.Rng.t -> t -> int -> unit
 (** Re-inserts one host using current measurements (network conditions
     changed).  Falls back to removing and re-adding; if the host anchors
-    other subtrees the whole framework is rebuilt with the original
-    insertion order. *)
+    other subtrees, or an eviction left dead geometry behind, the whole
+    framework is rebuilt with the original insertion order. *)
 
 val anchor_neighbors : t -> int -> int list
 (** Overlay neighborhood of a host. *)

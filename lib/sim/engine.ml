@@ -21,7 +21,6 @@ type 'msg t = {
   n : int;
   active : bool array;
   faults : Fault.t;
-  edge_delay : src:int -> dst:int -> int;
   (* messages in flight: delivery round -> flights, FIFO within a
      round because the table holds reversed lists flipped at delivery *)
   in_flight : (int, 'msg flight list) Hashtbl.t;
@@ -46,8 +45,7 @@ type 'msg t = {
   g_in_flight : Registry.Gauge.t;
 }
 
-let create ?(faults = Fault.none) ?(edge_delay = fun ~src:_ ~dst:_ -> 1) ?metrics
-    ?trace ~rng n =
+let create ?(faults = Fault.none) ?metrics ?trace ~rng n =
   if n <= 0 then invalid_arg "Engine.create: n <= 0";
   let metrics = match metrics with Some m -> m | None -> Registry.create () in
   let drop cause =
@@ -59,7 +57,6 @@ let create ?(faults = Fault.none) ?(edge_delay = fun ~src:_ ~dst:_ -> 1) ?metric
     n;
     active = Array.make n true;
     faults;
-    edge_delay;
     in_flight = Hashtbl.create 64;
     inbox = Array.init n (fun _ -> Queue.create ());
     lamport = Array.make n 0;
@@ -112,10 +109,6 @@ let fresh_msg_id t =
   t.next_msg_id <- id + 1;
   id
 
-let lamport t i =
-  check t i;
-  t.lamport.(i)
-
 let enqueue t ~due entry =
   let waiting = Option.value ~default:[] (Hashtbl.find_opt t.in_flight due) in
   Hashtbl.replace t.in_flight due (entry :: waiting);
@@ -137,11 +130,10 @@ let send t ~src ~dst ~kind ~bytes msg =
   | Fault.Blocked `Partition -> record_drop t ~msg:id ~kind ~bytes ~src ~dst Partition
   | Fault.Blocked `Loss -> record_drop t ~msg:id ~kind ~bytes ~src ~dst Fault_loss
   | Fault.Deliver extras ->
-      let delay = Stdlib.max 1 (t.edge_delay ~src ~dst) in
       List.iter
         (fun extra ->
           enqueue t
-            ~due:(t.round + delay + extra)
+            ~due:(t.round + 1 + extra)
             { f_dst = dst; f_src = src; f_msg = msg; f_id = id; f_kind = kind;
               f_bytes = bytes; f_lc = lc })
         extras
@@ -244,17 +236,6 @@ let run_round t ~step =
     order;
   Registry.Gauge.set t.g_in_flight t.flying;
   !changed || !delivered > 0 || t.flying > 0
-
-let run_until_stable t ~max_rounds ~step =
-  let rec loop r =
-    if r >= max_rounds then `Max_rounds
-    else if run_round t ~step then loop (r + 1)
-    else begin
-      emit t (Trace.Quiesce { round = t.round });
-      `Stable (r + 1)
-    end
-  in
-  loop 0
 
 let messages_sent t = Registry.Counter.value t.c_sent
 let delivered t = Registry.Counter.value t.c_delivered

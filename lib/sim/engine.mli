@@ -30,18 +30,16 @@ type 'msg t
 
 val create :
   ?faults:Fault.t ->
-  ?edge_delay:(src:int -> dst:int -> int) ->
   ?metrics:Bwc_obs.Registry.t ->
   ?trace:Bwc_obs.Trace.t ->
   rng:Bwc_stats.Rng.t ->
   int ->
   'msg t
-(** [create ~rng n] allocates [n] node slots, all initially active.  [edge_delay] gives each
-    directed edge a fixed delivery delay in rounds (default: 1 round for
-    every edge, the classic lockstep model).  A fixed per-edge delay
-    keeps links FIFO; values below 1 are clamped to 1.  [faults]
-    (default {!Fault.none}) is consulted on every send and at every
-    round boundary; fault jitter {e does} reorder messages, so protocols
+(** [create ~rng n] allocates [n] node slots, all initially active.
+    Every message takes one round (the classic lockstep model) plus
+    whatever jitter the fault plan adds.  [faults] (default
+    {!Fault.none}) is consulted on every send and at every round
+    boundary; fault jitter {e does} reorder messages, so protocols
     running under a jittering plan must tolerate non-FIFO links.
     [metrics] shares a registry with the rest of the stack (a private
     one is allocated when omitted); [trace] enables structured event
@@ -94,11 +92,6 @@ val fresh_msg_id : 'msg t -> int
     for traffic that bypasses the in-flight queue (synchronous query
     hops) but must still be causally identifiable in the trace. *)
 
-val lamport : 'msg t -> int -> int
-(** [lamport t i] is node [i]'s current Lamport clock (0 until it first
-    sends or receives).  Maintained whether or not a trace is attached;
-    never feeds back into protocol behaviour. *)
-
 val set_active : 'msg t -> int -> bool -> unit
 (** Deactivating a node drops its queued inbox and everything in flight
     towards it (a crash loses undelivered traffic, counted under
@@ -120,13 +113,6 @@ val run_round : 'msg t -> step:(int -> (int * 'msg) list -> bool) -> bool
     whether the node's state changed; the round returns whether {e any}
     node changed, any message was delivered, or messages are still in
     flight. *)
-
-val run_until_stable :
-  'msg t -> max_rounds:int -> step:(int -> (int * 'msg) list -> bool) ->
-  [ `Stable of int | `Max_rounds ]
-(** Runs rounds until one reports no change (returns how many rounds ran),
-    or gives up after [max_rounds].  Emits a [Quiesce] trace event when
-    the system stabilises. *)
 
 val messages_sent : 'msg t -> int
 (** [engine.msgs_sent]. *)

@@ -19,7 +19,12 @@
    5. daemon-replay — the reactor is a pure function of (seed, script);
    6. decoder-fuzz — every decoder of untrusted input (Wire.parse,
       Json.of_string, Trace.of_jsonl, Baseline.load, Snapshot.decode)
-      answers mutated input with a typed result and never raises.
+      answers mutated input with a typed result and never raises;
+   7. link-consistency — through random sequences of detector-driven
+      crash repair, manual repair, deferred churn and topology refresh,
+      every member's protocol links stay its anchor neighbors in
+      overlay order, and Protocol.dump is a fixed point of
+      dump . of_dump.
 
    The harness is deliberately NOT an alcotest suite: its stdout is
    fully deterministic for a given seed (no timings), so two runs with
@@ -561,6 +566,99 @@ let decoder_fuzz () =
   Printf.printf "%s: %s, the rest typed errors, none raised [ok]\n" prop
     (String.concat ", " report)
 
+(* 7. link-consistency — a protocol link per anchor neighbor is the only
+   per-neighbor state, so every topology change must rebuild exactly the
+   overlay's neighborhoods.  Each case drives a small detector-enabled
+   Dynamic through random steps (a few protocol rounds after each) and
+   checks, after every step, the links of every member against the
+   ensemble and the dump against its own restore. *)
+let link_consistency () =
+  let prop = "link-consistency" in
+  let module Dynamic = Bwc_core.Dynamic in
+  let module Churn = Bwc_sim.Churn in
+  let n_cases = Stdlib.max 1 (cases / 10) in
+  let steps = 8 in
+  let counts = Array.make 4 0 in
+  for case = 0 to n_cases - 1 do
+    let rng = case_rng (700_000 + case) in
+    let n = 12 + Rng.int rng 8 in
+    let ds =
+      Bwc_dataset.Planetlab.generate ~rng:(Rng.split rng) ~name:"prop-links"
+        { Bwc_dataset.Planetlab.hp_target with n }
+    in
+    let dyn =
+      Dynamic.create ~seed:(Rng.int rng 10_000) ~n_cut:3
+        ~initial_members:(List.init (n - 3) Fun.id)
+        ~detector:Bwc_core.Detector.default_config ds
+    in
+    let p = Dynamic.protocol dyn in
+    let pick l = List.nth l (Rng.int rng (List.length l)) in
+    let check step what =
+      let ens = Dynamic.ensemble dyn in
+      List.iter
+        (fun h ->
+          if Protocol.neighbors p h <> Ensemble.anchor_neighbors ens h then
+            fail_case prop case "step %d (%s): links of %d are not its anchor neighbors"
+              step what h)
+        (Ensemble.members ens);
+      let d = Protocol.dump p in
+      match Protocol.of_dump ~classes:(Dynamic.classes dyn) ens d with
+      | exception Invalid_argument msg ->
+          fail_case prop case "step %d (%s): own dump refused: %s" step what msg
+      | restored ->
+          if Protocol.dump restored <> d then
+            fail_case prop case "step %d (%s): dump is not a fixed point of restore" step
+              what
+    in
+    for step = 1 to steps do
+      let members = Dynamic.members dyn in
+      let kind = if List.length members <= 4 then 2 else Rng.int rng 4 in
+      counts.(kind) <- counts.(kind) + 1;
+      let what =
+        match kind with
+        | 0 ->
+            (* silent crash: leases expire, the detector confirms and the
+               protocol repairs around the victim *)
+            let victim = pick members in
+            let before = Protocol.repairs_run p in
+            Protocol.crash_host p victim;
+            (* mid-detection state (running, suspected leases) round-trips too *)
+            for _ = 1 to Rng.int rng 10 do
+              ignore (Protocol.run_round p : bool)
+            done;
+            if Protocol.repairs_run p = before then check step "crash, unrepaired";
+            let rounds = ref 0 in
+            while Protocol.repairs_run p = before && !rounds < 100 do
+              ignore (Protocol.run_round p : bool);
+              incr rounds
+            done;
+            if Protocol.repairs_run p = before then
+              fail_case prop case "step %d: crash of %d never repaired" step victim;
+            "crash"
+        | 1 ->
+            Protocol.repair p ~dead:[ pick members ];
+            "repair"
+        | 2 ->
+            let h = Rng.int rng n in
+            let ev = if List.mem h members then Churn.Leave h else Churn.Join h in
+            ignore (Dynamic.apply_deferred dyn [ ev ] : int);
+            Protocol.refresh_topology p;
+            "churn"
+        | _ ->
+            Protocol.refresh_topology p;
+            "refresh"
+      in
+      for _ = 1 to Rng.int rng 5 do
+        ignore (Protocol.run_round p : bool)
+      done;
+      check step what
+    done
+  done;
+  Printf.printf
+    "%s: %d cases, %d steps (%d crash, %d repair, %d churn, %d refresh), links = anchor \
+     neighbors and dump round-trips after every step [ok]\n"
+    prop n_cases (n_cases * steps) counts.(0) counts.(1) counts.(2) counts.(3)
+
 let () =
   Printf.printf "bwc property harness (seed %d, %d churn sequences)\n" seed cases;
   churn_differential ();
@@ -569,4 +667,5 @@ let () =
   causal_dag ();
   daemon_replay ();
   decoder_fuzz ();
+  link_consistency ();
   Printf.printf "all properties hold\n"

@@ -394,44 +394,6 @@ let test_convergence_rounds_bounded () =
   if rounds > (2 * depth) + 4 then
     Alcotest.failf "converged in %d rounds, depth only %d" rounds depth
 
-let test_delays_reach_same_fixpoint () =
-  (* heterogeneous FIFO link delays slow convergence but must not change
-     what the aggregation converges to *)
-  let ds = small_dataset ~seed:36 22 in
-  let space = Bwc_dataset.Dataset.metric ds in
-  let classes = Classes.of_percentiles ~count:5 ds in
-  let make ?edge_delay () =
-    let ens = Ensemble.build ~rng:(Rng.create 37) space in
-    let p = Protocol.create ~rng:(Rng.create 38) ~n_cut:4 ?edge_delay ~classes ens in
-    let (_ : int) = Protocol.run_aggregation ~max_rounds:400 p in
-    (ens, p)
-  in
-  let ens, fast = make () in
-  let delay_rng = Rng.create 39 in
-  let delays = Hashtbl.create 64 in
-  let edge_delay ~src ~dst =
-    match Hashtbl.find_opt delays (src, dst) with
-    | Some d -> d
-    | None ->
-        let d = 1 + Rng.int delay_rng 4 in
-        Hashtbl.add delays (src, dst) d;
-        d
-  in
-  let _, slow = make ~edge_delay () in
-  for x = 0 to 21 do
-    (* own rows agree *)
-    Alcotest.(check (array int))
-      (Printf.sprintf "own row of %d" x)
-      (Protocol.crt_row fast x x) (Protocol.crt_row slow x x);
-    (* neighbor columns agree *)
-    List.iter
-      (fun m ->
-        Alcotest.(check (array int))
-          (Printf.sprintf "column %d->%d" x m)
-          (Protocol.crt_row fast x m) (Protocol.crt_row slow x m))
-      (Ensemble.anchor_neighbors ens x)
-  done
-
 let test_aggregation_quiescence () =
   let _, _, protocol = build_protocol ~seed:11 20 in
   (* a further round on a static network must be a no-op *)
@@ -551,31 +513,6 @@ let test_partition_heals_and_queries_succeed () =
     done
   done
 
-let test_query_hop_budget () =
-  let _, _, protocol = build_protocol ~seed:82 24 in
-  let classes = Protocol.classes protocol in
-  let forwarding_needed = ref 0 in
-  for x = 0 to 23 do
-    for cls = 0 to Classes.count classes - 1 do
-      let own = (Protocol.crt_row protocol x x).(cls) in
-      let promised = Protocol.max_reachable protocol x ~cls in
-      if promised >= 2 then begin
-        let r = Protocol.query protocol ~hop_budget:0 ~at:x ~k:promised ~cls in
-        Alcotest.(check int) "budget 0 never forwards" 0 r.Query.hops;
-        (* with no budget the query can only be answered from the local
-           clustering space *)
-        if promised > own then begin
-          incr forwarding_needed;
-          if Query.found r then
-            Alcotest.failf "host %d answered k=%d locally with own row %d" x promised
-              own
-        end
-      end
-    done
-  done;
-  Alcotest.(check bool) "the budget constrained at least one query" true
-    (!forwarding_needed > 0)
-
 let test_query_skips_dead_hosts () =
   let ds = small_dataset ~seed:83 20 in
   let space = Bwc_dataset.Dataset.metric ds in
@@ -684,9 +621,13 @@ let test_detector_clean_run_quiet () =
   check_same_fixpoint ~n:20 ens plain detected;
   Alcotest.(check bool) "heartbeats flowed" true (Protocol.heartbeats_sent detected > 0);
   Alcotest.(check int) "no repairs" 0 (Protocol.repairs_run detected);
-  (match Protocol.detector detected with
-  | None -> Alcotest.fail "detector missing"
-  | Some d -> Alcotest.(check bool) "edges watched" true (Detector.watched d > 0));
+  Alcotest.(check bool) "every link carries a lease" true
+    (List.for_all
+       (fun (nd : Protocol.node_dump) ->
+         nd.Protocol.nd_links <> []
+         && List.for_all (fun l -> l.Protocol.l_lease <> None) nd.Protocol.nd_links)
+       (Protocol.dump detected).Protocol.d_nodes);
+  Alcotest.(check bool) "no lease running out" false (Protocol.lease_pending detected);
   Alcotest.(check int) "nothing given up" 0 (Protocol.give_ups detected)
 
 let test_detector_heals_crash () =
@@ -847,15 +788,10 @@ let test_routing_detours_suspects () =
     (Protocol.routing_suspects p ~at:watcher victim);
   Protocol.crash_host p victim;
   (* run rounds until suspicion sets in, stopping before confirmation *)
-  let d =
-    match Protocol.detector p with
-    | Some d -> d
-    | None -> Alcotest.fail "detector missing"
-  in
   let rec wait i =
-    if i > 2 * (Detector.config d).Detector.suspect_after + 4 then
+    if i > 2 * Detector.default_config.Detector.suspect_after + 4 then
       Alcotest.fail "never suspected"
-    else if Detector.state d ~watcher ~peer:victim <> Detector.Suspected then begin
+    else if not (Protocol.routing_suspects p ~at:watcher victim) then begin
       let (_ : bool) = Protocol.run_round p in
       wait (i + 1)
     end
@@ -905,6 +841,21 @@ let test_detector_config_validation () =
   in
   Alcotest.(check int) "tightest valid config accepted" 1
     (Detector.config d).Detector.heartbeat_every;
+  (* one lease through its life: pending past the heartbeat horizon,
+     suspected at suspect_after, confirmed (exactly once) at
+     confirm_after, revived by any message *)
+  let l = Detector.lease d ~round:10 in
+  let expire round = Detector.expire d l ~round ~watcher:0 ~peer:1 in
+  Alcotest.(check bool) "fresh lease not pending" false (Detector.pending d l ~round:12);
+  Alcotest.(check bool) "silent lease pending" true (Detector.pending d l ~round:13);
+  Alcotest.(check bool) "alive before suspect_after" false (expire 12 || Detector.suspects l);
+  Alcotest.(check bool) "suspicion is not confirmation" false (expire 13);
+  Alcotest.(check bool) "suspected at suspect_after" true (Detector.suspects l);
+  Alcotest.(check bool) "confirmed at confirm_after" true (expire 14);
+  Alcotest.(check bool) "confirmed once" false (expire 15);
+  Detector.heard l ~round:15;
+  Alcotest.(check bool) "heard revives" false (Detector.suspects l);
+  Alcotest.(check bool) "renewed lease not pending" false (Detector.pending d l ~round:16);
   (* the System facade forwards the config to the same validation *)
   let ds = small_dataset ~seed:44 10 in
   match Bwc_core.System.create ~seed:45 ~detector:(mk ~confirm_after:3 ()) ds with
@@ -946,6 +897,52 @@ let test_epoch_monotone_across_repairs () =
   let p2 = Protocol.of_dump ~classes ens (Protocol.dump p) in
   Alcotest.(check int) "epoch preserved by dump round trip" (Protocol.epoch p)
     (Protocol.epoch p2)
+
+let test_of_dump_rejects_noncanonical_links () =
+  (* a node's links must be exactly its anchor neighbors, ascending,
+     each listed once: anything else would restore to state that
+     re-encodes to different bytes *)
+  let _, ens, p = build_protocol ~seed:96 16 in
+  let classes = Protocol.classes p in
+  let d = Protocol.dump p in
+  Alcotest.(check bool) "canonical dump round-trips" true
+    (Protocol.dump (Protocol.of_dump ~classes ens d) = d);
+  let victim =
+    List.find
+      (fun (nd : Protocol.node_dump) -> List.length nd.Protocol.nd_links >= 2)
+      d.Protocol.d_nodes
+  in
+  let edit f =
+    {
+      d with
+      Protocol.d_nodes =
+        List.map
+          (fun (nd : Protocol.node_dump) ->
+            if nd.Protocol.nd_id = victim.Protocol.nd_id then
+              { nd with Protocol.nd_links = f nd.Protocol.nd_links }
+            else nd)
+          d.Protocol.d_nodes;
+    }
+  in
+  let rejects name d' =
+    match Protocol.of_dump ~classes ens d' with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" name
+  in
+  let peer (l : Protocol.link_dump) = l.Protocol.l_peer in
+  rejects "duplicated link" (edit (fun links -> List.hd links :: links));
+  rejects "missing neighbor" (edit List.tl);
+  rejects "descending links" (edit List.rev);
+  let stranger =
+    List.find
+      (fun h -> h <> victim.Protocol.nd_id && not (List.mem h (List.map peer victim.Protocol.nd_links)))
+      (Ensemble.members ens)
+  in
+  rejects "non-neighbor link"
+    (edit (fun links ->
+         List.sort
+           (fun a b -> compare (peer a) (peer b))
+           ({ (List.hd links) with Protocol.l_peer = stranger } :: links)))
 
 let test_dynamic_empty_members_query () =
   (* satellite regression: a query against an empty membership must be a
@@ -1417,20 +1414,15 @@ let qcheck_protocol_tests =
         let space = Bwc_dataset.Dataset.metric ds in
         let ens = Ensemble.build ~rng:(Rng.create seed) space in
         let classes = Classes.of_percentiles ~count:4 ds in
-        let delay_rng = Rng.create (seed + 1) in
-        let delays = Hashtbl.create 32 in
-        let edge_delay ~src ~dst =
-          match Hashtbl.find_opt delays (src, dst) with
-          | Some d -> d
-          | None ->
-              let d = 1 + Rng.int delay_rng 3 in
-              Hashtbl.add delays (src, dst) d;
-              d
-        in
+        (* every message is delayed by 0-2 extra rounds, reordering links *)
+        let faults = Bwc_sim.Fault.create ~jitter:2 ~rng:(Rng.create (seed + 1)) () in
         let protocol =
-          Protocol.create ~rng:(Rng.create (seed + 2)) ~n_cut:4 ~edge_delay ~classes ens
+          Protocol.create ~rng:(Rng.create (seed + 2)) ~n_cut:4 ~faults ~classes ens
         in
-        let (_ : int) = Protocol.run_aggregation ~max_rounds:600 protocol in
+        let rounds = ref 0 in
+        while Protocol.run_round protocol && !rounds < 600 do
+          incr rounds
+        done;
         (* every promised cluster is found, nothing beyond is *)
         let ok = ref true in
         for x = 0 to n - 1 do
@@ -1526,8 +1518,6 @@ let () =
           Alcotest.test_case "quiescence" `Quick test_aggregation_quiescence;
           Alcotest.test_case "convergence bounded by depth" `Quick
             test_convergence_rounds_bounded;
-          Alcotest.test_case "same fixpoint under link delays" `Quick
-            test_delays_reach_same_fixpoint;
           Alcotest.test_case "global max agreed everywhere" `Quick
             test_global_max_agrees_everywhere;
         ] );
@@ -1552,9 +1542,10 @@ let () =
             test_detector_config_validation;
           Alcotest.test_case "epoch monotone across repairs" `Quick
             test_epoch_monotone_across_repairs;
+          Alcotest.test_case "dump links canonical" `Quick
+            test_of_dump_rejects_noncanonical_links;
           Alcotest.test_case "query on empty membership" `Quick
             test_dynamic_empty_members_query;
-          Alcotest.test_case "hop budget caps forwarding" `Quick test_query_hop_budget;
           Alcotest.test_case "routing skips dead hosts" `Quick
             test_query_skips_dead_hosts;
         ] );

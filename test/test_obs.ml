@@ -289,15 +289,18 @@ let engine_scenario () =
   let e = Engine.create ~faults ~metrics ~trace ~rng:(Rng.create 43) 8 in
   let source = Rng.create 44 in
   let budget = ref 40 in
-  let (_ : [ `Stable of int | `Max_rounds ]) =
-    Engine.run_until_stable e ~max_rounds:100 ~step:(fun id _ ->
-        if !budget > 0 && id = 0 then begin
-          decr budget;
-          Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:0 ~dst:(1 + Rng.int source 7) ();
-          true
-        end
-        else false)
+  let step id _ =
+    if !budget > 0 && id = 0 then begin
+      decr budget;
+      Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:0 ~dst:(1 + Rng.int source 7) ();
+      true
+    end
+    else false
   in
+  let rounds = ref 0 in
+  while Engine.run_round e ~step && !rounds < 100 do
+    incr rounds
+  done;
   (Trace.to_jsonl trace, Registry.to_json (Registry.snapshot metrics))
 
 let test_same_seed_identical_trace () =

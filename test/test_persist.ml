@@ -148,39 +148,51 @@ let test_snapshot_dynamic_roundtrip () =
     (Bwc_core.Find_cluster.Index.is_member (Dynamic.index restored) victim)
 
 (* Version 1 dynamic images carried an approximation-mode int and an
-   optional summary section after the index; an exact-mode v1 image is the v2
-   payload plus those two empty fields.  It must be refused by version,
-   not mis-parsed, and a daemon booting over it starts cold. *)
+   optional summary section after the index; an exact-mode v1 image is a
+   dynamic payload plus those two empty fields.  Version 2 stored
+   protocol state as per-table neighbor maps plus a detector edge list.
+   Both must be refused by version, not mis-parsed (here: a v2 header
+   over a current payload, which would otherwise parse), and a daemon
+   booting over an old image starts cold. *)
 let test_snapshot_v1_refused () =
   let dyn = Dynamic.create ~seed:5 (dataset ~seed:6 20) in
-  let payload =
+  let current =
     match Codec.decode (Snapshot.encode (`Dynamic dyn)) with
-    | Ok p -> p ^ "i 0\nb 0\n"
+    | Ok p -> p
     | Error e -> Alcotest.failf "container: %s" (Codec.error_to_string e)
   in
-  let v1 =
-    Printf.sprintf "%s 1\nlen %d crc %08x\n%s" Codec.magic (String.length payload)
+  let stamp v payload =
+    Printf.sprintf "%s %d\nlen %d crc %08x\n%s" Codec.magic v (String.length payload)
       (Codec.crc32 payload) payload
   in
+  let v1 = stamp 1 (current ^ "i 0\nb 0\n") in
   (match Snapshot.decode v1 with
   | Error (Codec.Bad_version 1) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Codec.error_to_string e)
   | Ok _ -> Alcotest.fail "decoded a v1 image");
-  let path = Filename.temp_file "bwcsnap" ".v1" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Codec.write_file path v1;
-      let metrics = Registry.create () in
-      let boot =
-        Bwc_daemon.Lifecycle.boot ~metrics ~keep:1 ~path ~cold:(fun () -> dyn) ()
-      in
-      Alcotest.(check bool) "cold" false boot.Bwc_daemon.Lifecycle.warm;
-      Alcotest.(check int) "cold start counted" 1
-        (Registry.get (Registry.snapshot metrics) "persist.cold_starts");
-      match boot.Bwc_daemon.Lifecycle.rejected with
-      | [ (0, Codec.Bad_version 1) ] -> ()
-      | _ -> Alcotest.fail "generation 0 not rejected as version 1")
+  let v2 = stamp 2 current in
+  (match Snapshot.decode v2 with
+  | Error (Codec.Bad_version 2) -> ()
+  | Error e -> Alcotest.failf "wrong v2 error: %s" (Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "decoded a v2 image");
+  List.iter
+    (fun (v, image) ->
+      let path = Filename.temp_file "bwcsnap" ".old" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          Codec.write_file path image;
+          let metrics = Registry.create () in
+          let boot =
+            Bwc_daemon.Lifecycle.boot ~metrics ~keep:1 ~path ~cold:(fun () -> dyn) ()
+          in
+          Alcotest.(check bool) "cold" false boot.Bwc_daemon.Lifecycle.warm;
+          Alcotest.(check int) "cold start counted" 1
+            (Registry.get (Registry.snapshot metrics) "persist.cold_starts");
+          match boot.Bwc_daemon.Lifecycle.rejected with
+          | [ (0, Codec.Bad_version v') ] when v' = v -> ()
+          | _ -> Alcotest.failf "generation 0 not rejected as version %d" v))
+    [ (1, v1); (2, v2) ]
 
 let test_snapshot_mid_convergence () =
   (* crash in the middle of aggregation: in-flight messages die with the

@@ -391,6 +391,40 @@ let test_refresh_host () =
     done
   done
 
+let test_join_after_eviction () =
+  (* an eviction keeps geometry other placements depend on; joins and
+     refreshes afterwards must never anchor a host to the dead one *)
+  let n = 24 in
+  let space = tree_space ~seed:22 n in
+  let members = List.init (n - 4) Fun.id in
+  let fw = Framework.build ~rng:(Rng.create 23) ~members space in
+  let anchor () = Framework.anchor fw in
+  let evicted = ref [] in
+  List.iter
+    (fun h ->
+      if Framework.is_member fw h && Anchor.children (anchor ()) h <> [] then begin
+        ignore (Framework.evict_host fw h : (int * int) list);
+        evicted := h :: !evicted
+      end)
+    [ 3; 7; 11 ];
+  Alcotest.(check bool) "evicted a host with dependents" true (!evicted <> []);
+  List.iteri
+    (fun i h ->
+      Framework.add_host ~rng:(Rng.create (24 + i)) fw h;
+      Framework.refresh_host ~rng:(Rng.create (40 + i)) fw (List.hd members))
+    (List.init 4 (fun i -> n - 4 + i) @ !evicted);
+  List.iter
+    (fun h ->
+      if Framework.is_member fw h then
+        List.iter
+          (fun nb ->
+            if not (Framework.is_member fw nb) then
+              Alcotest.failf "%d is anchored to non-member %d" h nb)
+          (Framework.anchor_neighbors fw h))
+    (List.init n Fun.id);
+  Alcotest.(check int) "every host joined" n (Framework.size fw);
+  Alcotest.(check bool) "tree" true (Tree.is_tree (Framework.tree fw))
+
 (* ----- Ensemble ----- *)
 
 let test_ensemble_median_between_extremes () =
@@ -576,6 +610,7 @@ let () =
             test_builder_measurements_positive;
           Alcotest.test_case "dot export" `Quick test_dot_export;
           Alcotest.test_case "refresh host" `Quick test_refresh_host;
+          Alcotest.test_case "join after eviction" `Quick test_join_after_eviction;
         ] );
       ( "ensemble",
         [

@@ -57,27 +57,36 @@ let test_engine_inactive_nodes_drop () =
   Alcotest.(check bool) "inactive not stepped" false (List.mem 2 !stepped);
   Alcotest.(check int) "active count" 2 (Engine.active_count e)
 
+(* rounds until the first quiet one (included), or None past [max_rounds] *)
+let rounds_until_quiet e ~max_rounds ~step =
+  let rec loop r =
+    if r >= max_rounds then None
+    else if Engine.run_round e ~step then loop (r + 1)
+    else Some (r + 1)
+  in
+  loop 0
+
 let test_engine_until_stable () =
   (* a protocol that floods a token at most 5 hops: must stabilise *)
   let e = Engine.create ~rng:(Rng.create 7) 4 in
   Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:0 ~dst:1 5;
   let result =
-    Engine.run_until_stable e ~max_rounds:50 ~step:(fun id inbox ->
+    rounds_until_quiet e ~max_rounds:50 ~step:(fun id inbox ->
         List.iter
           (fun (_, ttl) -> if ttl > 0 then Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:id ~dst:((id + 1) mod 4) (ttl - 1))
           inbox;
         false)
   in
   (match result with
-  | `Stable rounds -> Alcotest.(check bool) "stabilised promptly" true (rounds <= 10)
-  | `Max_rounds -> Alcotest.fail "did not stabilise");
+  | Some rounds -> Alcotest.(check bool) "stabilised promptly" true (rounds <= 10)
+  | None -> Alcotest.fail "did not stabilise");
   Alcotest.(check bool) "messages counted" true (Engine.messages_sent e >= 6)
 
 let test_engine_change_keeps_running () =
   let e = Engine.create ~rng:(Rng.create 8) 2 in
   let countdown = ref 3 in
   let result =
-    Engine.run_until_stable e ~max_rounds:50 ~step:(fun id _ ->
+    rounds_until_quiet e ~max_rounds:50 ~step:(fun id _ ->
         if id = 0 && !countdown > 0 then begin
           decr countdown;
           true
@@ -85,8 +94,8 @@ let test_engine_change_keeps_running () =
         else false)
   in
   match result with
-  | `Stable rounds -> Alcotest.(check int) "3 active rounds + 1 quiet" 4 rounds
-  | `Max_rounds -> Alcotest.fail "should stabilise"
+  | Some rounds -> Alcotest.(check int) "3 active rounds + 1 quiet" 4 rounds
+  | None -> Alcotest.fail "should stabilise"
 
 let test_engine_reactivation () =
   (* deactivation purges traffic already in flight; traffic sent while
@@ -109,38 +118,15 @@ let test_engine_reactivation () =
   Alcotest.(check int) "purge counted" 1 (Engine.dropped e);
   Alcotest.(check int) "attributed to the purge" 1 (Engine.dropped_by e Engine.Purge)
 
-let test_engine_delayed_delivery () =
-  (* a 3-round edge delivers exactly at +3 rounds, FIFO *)
-  let e =
-    Engine.create ~edge_delay:(fun ~src:_ ~dst:_ -> 3) ~rng:(Rng.create 12) 2
-  in
-  Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:0 ~dst:1 "first";
-  Engine.send e ~kind:Trace.Aggregate ~bytes:8 ~src:0 ~dst:1 "second";
-  let arrived = ref [] in
-  for round = 1 to 4 do
-    let (_ : bool) =
-      Engine.run_round e ~step:(fun id inbox ->
-          if id = 1 && inbox <> [] then arrived := (round, List.map snd inbox) :: !arrived;
-          false)
-    in
-    ()
-  done;
-  match !arrived with
-  | [ (3, [ "first"; "second" ]) ] -> ()
-  | _ -> Alcotest.fail "expected FIFO delivery exactly at round 3"
-
 let test_engine_message_conservation () =
   (* every sent message is eventually delivered or dropped, never lost *)
   let rng = Rng.create 13 in
-  let e =
-    Engine.create
-      ~edge_delay:(fun ~src ~dst -> 1 + ((src + dst) mod 3))
-      ~rng:(Rng.create 14) 6
-  in
+  let faults = Fault.create ~jitter:2 ~rng:(Rng.create 15) () in
+  let e = Engine.create ~faults ~rng:(Rng.create 14) 6 in
   let received = ref 0 in
   let to_send = ref 60 in
   let result =
-    Engine.run_until_stable e ~max_rounds:200 ~step:(fun id inbox ->
+    rounds_until_quiet e ~max_rounds:200 ~step:(fun id inbox ->
         received := !received + List.length inbox;
         if !to_send > 0 && id = 0 then begin
           decr to_send;
@@ -150,8 +136,8 @@ let test_engine_message_conservation () =
         else false)
   in
   (match result with
-  | `Stable _ -> ()
-  | `Max_rounds -> Alcotest.fail "must quiesce");
+  | Some _ -> ()
+  | None -> Alcotest.fail "must quiesce");
   Alcotest.(check int) "all delivered" (Engine.messages_sent e - Engine.dropped e)
     !received;
   Alcotest.(check int) "delivered counter agrees" (Engine.delivered e) !received
@@ -369,7 +355,6 @@ let () =
           Alcotest.test_case "state changes keep rounds running" `Quick
             test_engine_change_keeps_running;
           Alcotest.test_case "reactivation" `Quick test_engine_reactivation;
-          Alcotest.test_case "delayed FIFO delivery" `Quick test_engine_delayed_delivery;
           Alcotest.test_case "message conservation" `Quick
             test_engine_message_conservation;
         ] );
