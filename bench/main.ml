@@ -257,16 +257,16 @@ let trace_overhead () =
   let oc = open_out "BENCH_trace_overhead.json" in
   let arm_json (name, (best, mean, sends, emitted, retained)) =
     Printf.sprintf
-      "    {\"sink\": \"%s\", \"best_s\": %.6f, \"mean_s\": %.6f, \
+      "    {\"sink\": %s, \"best_s\": %.6f, \"mean_s\": %.6f, \
        \"overhead_pct\": %.2f, \"engine_sends\": %d, \"events_emitted\": %d, \
        \"events_retained\": %d}"
-      name best mean (overhead_pct best) sends emitted retained
+      (Bwc_json.Json.quote name) best mean (overhead_pct best) sends emitted retained
   in
   Printf.fprintf oc
-    "{\n  \"bench\": \"trace_overhead\",\n  \"dataset\": \"%s\",\n  \"hosts\": \
+    "{\n  \"bench\": \"trace_overhead\",\n  \"dataset\": %s,\n  \"hosts\": \
      %d,\n  \"queries\": %d,\n  \"repeats\": %d,\n  \"ring_capacity\": %d,\n  \
      \"arms\": [\n%s\n  ]\n}\n"
-    ds.Dataset.name n queries repeats capacity
+    (Bwc_json.Json.quote ds.Dataset.name) n queries repeats capacity
     (String.concat ",\n" (List.map arm_json rows));
   close_out oc;
   Format.printf "trace overhead written to BENCH_trace_overhead.json@."

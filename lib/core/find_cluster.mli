@@ -35,26 +35,25 @@ val find :
     [S*_pq] ([p] and [q] always included).  [verify] defaults to
     [false]. *)
 
-val exists : Bwc_metric.Space.t -> k:int -> l:float -> bool
+val max_sizes : Bwc_metric.Space.t -> ls:float array -> int array
+(** For each distance class [ls.(i)], the largest cluster size achievable
+    with diameter [<= ls.(i)] (the quantity aggregated into cluster
+    routing tables by Algorithm 3).  One pass over the pairs: each pair
+    within the widest class has [|S*_pq|] counted once.  Every entry is
+    at least 1 when the space is non-empty, 0 when it is empty. *)
 
-val max_size : Bwc_metric.Space.t -> l:float -> int
-(** Largest cluster size achievable with diameter [<= l]
-    (the quantity aggregated into cluster routing tables by
-    Algorithm 3); at least 1 when the space is non-empty. *)
-
-(** Precomputed all-pairs index for repeated queries: O(n^3) once, then
-    O(log n) feasibility and max-size lookups — and {e incrementally
-    maintainable} under membership churn.
+(** All-pairs clustering index for repeated queries over a changing
+    membership: O(n^3) to build, then {!find} without recounting, and
+    {e incrementally maintainable} under membership churn.
 
     The index is built over a fixed universe space whose distances never
-    change; what changes is which points are {e members}.  A membership
-    event only touches pairs the moving host participates in, plus the
-    membership counts [|S*_pq|] of pairs whose ball it falls inside, so
-    {!add_host} and {!remove_host} repair the index in O(n^2) — against
-    O(n^3) for a rebuild — while keeping the sorted-distance/prefix-max
-    query structures valid (pair distances are immutable, so mutating
-    counts in place and merging the O(n) new pairs preserves both the
-    sort order and the prefix-max invariant). *)
+    change; what changes is which points are {e members}.  It stores one
+    count [|S*_uv|] (restricted to the members) per member pair, in a
+    flat [n * n] int array over the universe: 115 KB at [n = 120], 8 MB
+    at [n = 1024].  A membership event only touches pairs the moving
+    host participates in, plus the counts of pairs whose ball it falls
+    inside, so {!add_host} and {!remove_host} repair the index in
+    O(n^2) — against O(n^3) for a rebuild. *)
 module Index : sig
   type t
 
@@ -74,25 +73,22 @@ module Index : sig
   val is_member : t -> int -> bool
 
   val add_host : t -> int -> unit
-  (** O(n^2) incremental join: sizes every pair the newcomer forms with a
-      current member and bumps [|S*_pq|] of every existing pair whose
-      ball contains it; the new pairs are merged into the sorted query
-      structure without re-sorting the old run.  Raises
-      [Invalid_argument] if out of range or already a member. *)
+  (** O(n^2) incremental join: counts every pair the newcomer forms with
+      a current member and bumps [|S*_pq|] of every existing pair whose
+      ball contains it.  Raises [Invalid_argument] if out of range or
+      already a member. *)
 
   val remove_host : t -> int -> unit
-  (** O(n^2) incremental leave: drops the host's own pairs and decrements
-      [|S*_pq|] of every remaining pair whose ball contained it.  Raises
-      [Invalid_argument] for non-members. *)
+  (** O(n^2) incremental leave: decrements [|S*_pq|] of every remaining
+      pair whose ball contained it.  Raises [Invalid_argument] for
+      non-members. *)
 
   val find : ?verify:bool -> t -> k:int -> l:float -> int list option
   (** Same result as {!find} on the space restricted to the current
-      members (hosts are reported under their universe ids). *)
-
-  val exists : t -> k:int -> l:float -> bool
-  val max_size : t -> l:float -> int
-  val max_sizes : t -> ls:float array -> int array
-  (** Vectorised {!max_size} for a whole set of distance classes. *)
+      members (hosts are reported under their universe ids).  Member
+      pairs are scanned in index order; a stored count only nominates a
+      pair, and the answer comes from its recounted ball, so it always
+      holds [k] members. *)
 
   (** {2 Persistence} *)
 
@@ -106,9 +102,9 @@ module Index : sig
   val dump : t -> dump
 
   val of_dump : Bwc_metric.Space.t -> dump -> t
-  (** Reconstructs the index over the given universe space (pair
-      distances are recomputed from it; the counts come from the dump, so
-      restore is O(a^2 log a) instead of a O(a^3) rebuild).  Validates
-      membership ordering/range and count bounds; raises
+  (** Reconstructs the index over the given universe space in O(a^2):
+      the counts come from the dump instead of an O(a^3) recount.
+      Validates membership ordering and range, and that every count lies
+      in [[2, a]] (a ball always holds its own pair); raises
       [Invalid_argument] on any violation. *)
 end

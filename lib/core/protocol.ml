@@ -287,25 +287,31 @@ let gather node ~skip =
 
 let clustering_space_node node = Array.of_list (List.rev (gather node ~skip:(-1)))
 
+(* One Algorithm-1 pass over V_x gives the whole row: the largest
+   cluster per bandwidth class. *)
 let recompute_own_row t node =
   let infos = clustering_space_node node in
-  (* cache the pairwise label distances: the index scan evaluates each
+  (* cache the pairwise label distances: the pair scan evaluates each
      pair O(|V|) times and ensemble-median label distances are not
      cheap *)
   let space = Bwc_metric.Space.cached (Node_info.space_of infos) in
-  let index = Find_cluster.Index.build space in
-  node.own_row <- Find_cluster.Index.max_sizes index ~ls:(Classes.distances t.classes)
+  node.own_row <- Find_cluster.max_sizes space ~ls:(Classes.distances t.classes)
 
 (* ----- message construction ----- *)
 
 (* Algorithm 2: the n_cut hosts closest to the recipient among
    {x} union aggrNode[v] for v <> recipient. *)
 let prop_node_for t node ~recipient =
-  let cand = Array.of_list (gather node ~skip:recipient.Node_info.host) in
-  Array.sort
-    (fun a b -> compare (Node_info.dist recipient a) (Node_info.dist recipient b))
-    cand;
-  Array.to_list (Array.sub cand 0 (Stdlib.min t.n_cut (Array.length cand)))
+  (* each label distance is an ensemble median: compute it once per
+     candidate, not once per comparison *)
+  let cand =
+    Array.of_list
+      (List.map
+         (fun c -> (Node_info.dist recipient c, c))
+         (gather node ~skip:recipient.Node_info.host))
+  in
+  Array.sort (fun (a, _) (b, _) -> Float.compare a b) cand;
+  List.init (Stdlib.min t.n_cut (Array.length cand)) (fun i -> snd cand.(i))
 
 (* Algorithm 3, lines 9-10: max over own row and every other neighbor's
    aggregated column. *)

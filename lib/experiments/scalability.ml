@@ -91,12 +91,12 @@ type churn_row = {
 
 (* drive one churn sequence over a fixed universe space.  The exact
    index absorbs every event as an O(n^2) delta; after each event random
-   (k, l) probes check that its answers agree with each other (exists
-   iff max_size >= k iff find answers, and the found cluster is k
-   current members within the constraint).  With [rebuild] a second arm
+   (k, l) probes check that every cluster [find] answers is k distinct
+   current members within the constraint.  With [rebuild] a second arm
    additionally pays a fresh O(n^3) [Index.build_subset] per event — the
    original rebuild baseline, intractable past a few hundred points,
-   hence gated by size — and every probe is compared against it. *)
+   hence gated by size — whose dump must equal the maintained index's,
+   and every probe's answer is compared against it. *)
 let churn_one ~rng ~space ~events ~checks_per_event ~rebuild =
   let n = space.Bwc_metric.Space.n in
   let is_member = Array.make n false in
@@ -140,22 +140,20 @@ let churn_one ~rng ~space ~events ~checks_per_event ~rebuild =
         Some (Span.time reb_span (fun () -> Index.build_subset space (members ())))
       else None
     in
+    (match rebuilt with
+    | Some rebuilt -> if Index.dump idx <> Index.dump rebuilt then incr divergence
+    | None -> ());
     let a = Index.size idx in
     for _ = 1 to checks_per_event do
       incr checks;
       let k = 2 + Rng.int rng (Stdlib.max 1 (a - 1)) in
       let l = Rng.uniform rng lo hi in
-      let exists = Index.exists idx ~k ~l in
       let found = Index.find idx ~k ~l in
-      if exists <> (Index.max_size idx ~l >= k) then incr divergence;
       (match found with
-      | Some cluster -> if not (exists && feasible ~k ~l cluster) then incr divergence
-      | None -> if exists then incr divergence);
+      | Some cluster -> if not (feasible ~k ~l cluster) then incr divergence
+      | None -> ());
       match rebuilt with
-      | Some rebuilt ->
-          if exists <> Index.exists rebuilt ~k ~l then incr divergence;
-          if Index.max_size idx ~l <> Index.max_size rebuilt ~l then incr divergence;
-          if found <> Index.find rebuilt ~k ~l then incr divergence
+      | Some rebuilt -> if found <> Index.find rebuilt ~k ~l then incr divergence
       | None -> ()
     done
   done;
@@ -210,11 +208,11 @@ let save_churn_json rows ~seed path =
   let oc = open_out path in
   let row_json r =
     Printf.sprintf
-      "    {\"n\": %d, \"events\": %d, \"exact_arm\": \"%s\", \
+      "    {\"n\": %d, \"events\": %d, \"exact_arm\": %s, \
        \"incremental_s\": %.6f, \"rebuild_s\": %.6f, \"speedup\": %.2f, \
        \"checks\": %d, \"divergence\": %d}"
-      r.cn r.events r.exact_arm r.incremental_s r.rebuild_s r.speedup r.checks
-      r.divergence
+      r.cn r.events (Bwc_json.Json.quote r.exact_arm) r.incremental_s r.rebuild_s
+      r.speedup r.checks r.divergence
   in
   Printf.fprintf oc "{\n  \"bench\": \"index_churn\",\n  \"seed\": %d,\n  \"rows\": [\n%s\n  ]\n}\n"
     seed

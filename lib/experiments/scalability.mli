@@ -41,14 +41,15 @@ val save_csv : output -> string -> unit
     A fixed tree-metric universe per size [n]; membership churns through
     random joins and leaves.  The exact {!Bwc_core.Find_cluster.Index}
     absorbs every event as an O(n^2) delta, and after every event random
-    [(k, l)] probes check its answers for mutual consistency ([exists]
-    iff [max_size >= k] iff [find] answers, and every found cluster is
-    [k] current members within the constraint).  At [n <= rebuild_max] a
-    second arm rebuilds the index from scratch at O(n^3) per event (the
-    original rebuild baseline — intractable past a few hundred points,
-    which is exactly why it is size-gated) and every probe is also
-    compared against it.  Any divergence is a correctness bug; the timing
-    ratio is the speedup of delta over rebuild. *)
+    [(k, l)] probes check that every cluster [find] answers is [k]
+    distinct current members within the constraint.  At
+    [n <= rebuild_max] a second arm rebuilds the index from scratch at
+    O(n^3) per event (the original rebuild baseline — intractable past a
+    few hundred points, which is exactly why it is size-gated): its
+    [Index.dump] must equal the maintained index's, and every probe's
+    [find] answer is also compared against it.  Any divergence is a
+    correctness bug; the timing ratio is the speedup of delta over
+    rebuild. *)
 
 type churn_row = {
   cn : int;              (** universe size *)
@@ -57,7 +58,7 @@ type churn_row = {
   rebuild_s : float;     (** per-event rebuild seconds (0 when arm off) *)
   speedup : float;       (** [rebuild_s /. incremental_s]; 0 when no rebuild arm *)
   checks : int;          (** probes *)
-  divergence : int;      (** failed probes — must be 0 *)
+  divergence : int;      (** failed probes and dump mismatches — must be 0 *)
   exact_arm : string;    (** ["full+rebuild"] or ["full"] *)
 }
 

@@ -395,9 +395,9 @@ let to_json r =
     (fun i h ->
       if i > 0 then p ",";
       p
-        "{\"msg\":%d,\"kind\":\"%s\",\"src\":%d,\"dst\":%d,\"send_round\":%d,\"deliver_round\":%d,\"bytes\":%d}"
+        "{\"msg\":%d,\"kind\":%s,\"src\":%d,\"dst\":%d,\"send_round\":%d,\"deliver_round\":%d,\"bytes\":%d}"
         h.h_msg
-        (Trace.kind_to_string h.h_kind)
+        (Bwc_json.Json.quote (Trace.kind_to_string h.h_kind))
         h.h_src h.h_dst h.h_send_round h.h_deliver_round h.h_bytes)
     r.critical_path;
   p "]}";
@@ -405,8 +405,9 @@ let to_json r =
   List.iteri
     (fun i (k, s) ->
       if i > 0 then p ",";
-      p "{\"kind\":\"%s\",\"sends\":%d,\"bytes\":%d,\"delivered\":%d,\"dropped\":%d}"
-        (Trace.kind_to_string k) s.k_sends s.k_bytes s.k_delivered s.k_dropped)
+      p "{\"kind\":%s,\"sends\":%d,\"bytes\":%d,\"delivered\":%d,\"dropped\":%d}"
+        (Bwc_json.Json.quote (Trace.kind_to_string k))
+        s.k_sends s.k_bytes s.k_delivered s.k_dropped)
     r.by_kind;
   p "],\"by_node\":[";
   List.iteri

@@ -42,12 +42,12 @@ let frameworks t = Array.copy t.frameworks
 
 let labels t host = Array.map (fun fw -> Framework.label fw host) t.frameworks
 
+(* Sorts [values] in place: both callers pass a fresh array. *)
 let median values =
-  let sorted = Array.copy values in
-  Array.sort compare sorted;
-  let m = Array.length sorted in
-  if m land 1 = 1 then sorted.(m / 2)
-  else (sorted.((m / 2) - 1) +. sorted.(m / 2)) /. 2.0
+  Array.sort Float.compare values;
+  let m = Array.length values in
+  if m land 1 = 1 then values.(m / 2)
+  else (values.((m / 2) - 1) +. values.(m / 2)) /. 2.0
 
 let label_dist la lb =
   let m = Array.length la in

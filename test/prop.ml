@@ -4,10 +4,12 @@
 
    1. churn-differential — after ANY sequence of Index.add_host /
       Index.remove_host events, the incrementally maintained
-      Find_cluster.Index answers (exists, max_size, max_sizes, find)
-      exactly as a fresh Index.build_subset of the same membership;
+      Find_cluster.Index has the same dump (members and per-pair counts)
+      and the same find answers as a fresh Index.build_subset of the
+      same membership;
    2. alg1-oracle-tree — on exact tree metrics Algorithm 1 agrees with
-      the exact Bron-Kerbosch clique oracle on every (k, l) query;
+      the exact Bron-Kerbosch clique oracle on every (k, l) query, and
+      its one-pass max_sizes row agrees with find;
    3. alg1-oracle-noisy — on noisy near-tree spaces the two may disagree
       only in the direction WPR permits (Algorithm 1 claiming a cluster
       the real space does not have, never missing one that exists);
@@ -105,14 +107,6 @@ let off_diag_values space =
 let check_agreement prop case ~event idx rebuilt ~k ~l =
   if Index.members idx <> Index.members rebuilt then
     fail_case prop case "event %d: member lists differ" event;
-  let e_inc = Index.exists idx ~k ~l and e_reb = Index.exists rebuilt ~k ~l in
-  if e_inc <> e_reb then
-    fail_case prop case "event %d: exists k=%d l=%.9g: incremental %b, rebuilt %b" event
-      k l e_inc e_reb;
-  let m_inc = Index.max_size idx ~l and m_reb = Index.max_size rebuilt ~l in
-  if m_inc <> m_reb then
-    fail_case prop case "event %d: max_size l=%.9g: incremental %d, rebuilt %d" event l
-      m_inc m_reb;
   let f_inc = Index.find idx ~k ~l and f_reb = Index.find rebuilt ~k ~l in
   if f_inc <> f_reb then
     fail_case prop case "event %d: find k=%d l=%.9g diverged" event k l
@@ -147,7 +141,7 @@ let churn_differential () =
       if joining then Index.add_host idx h else Index.remove_host idx h;
       let rebuilt = Index.build_subset space (members ()) in
       (* probe with arbitrary thresholds and with exact pair distances
-         (the tie-heavy case the sorted structure must survive) *)
+         (the tie-heavy case) *)
       for _ = 1 to 4 do
         incr total_checks;
         let k = 2 + Rng.int rng (Stdlib.max 1 (n - 1)) in
@@ -159,9 +153,8 @@ let churn_differential () =
         check_agreement prop case ~event idx rebuilt ~k ~l
       done;
       incr total_checks;
-      let ls = Array.init 6 (fun i -> float_of_int i *. l_max /. 5.0) in
-      if Index.max_sizes idx ~ls <> Index.max_sizes rebuilt ~ls then
-        fail_case prop case "event %d: max_sizes vector diverged" event
+      if Index.dump idx <> Index.dump rebuilt then
+        fail_case prop case "event %d: per-pair counts diverged" event
     done
   done;
   Printf.printf "%s: %d sequences, %d events, %d checks, 0 divergences [ok]\n" prop
@@ -183,6 +176,15 @@ let midgap_thresholds values =
   done;
   Array.of_list (List.rev !out)
 
+(* Algorithm 1's feasibility verdict, after checking that the one-pass
+   max_sizes row (what the protocol round aggregates) agrees with find *)
+let alg1_answers prop case space ~k ~l =
+  let found = Find_cluster.find space ~k ~l <> None in
+  let fits = (Find_cluster.max_sizes space ~ls:[| l |]).(0) >= k in
+  if fits <> found then
+    fail_case prop case "k=%d l=%.9g: max_sizes says %b, find says %b" k l fits found;
+  found
+
 let oracle_tree () =
   let prop = "alg1-oracle-tree" in
   let n_cases = Stdlib.max 1 (cases / 2) in
@@ -196,7 +198,7 @@ let oracle_tree () =
       incr queries;
       let k = 2 + Rng.int rng (n - 1) in
       let l = thresholds.(Rng.int rng (Array.length thresholds)) in
-      let alg1 = Find_cluster.exists space ~k ~l in
+      let alg1 = alg1_answers prop case space ~k ~l in
       match Clique.exists_cluster space ~k ~l with
       | Clique.Feasible _ ->
           if not alg1 then
@@ -225,7 +227,7 @@ let oracle_noisy () =
       incr queries;
       let k = 2 + Rng.int rng (n - 1) in
       let l = thresholds.(Rng.int rng (Array.length thresholds)) in
-      let alg1 = Find_cluster.exists space ~k ~l in
+      let alg1 = alg1_answers prop case space ~k ~l in
       match Clique.exists_cluster space ~k ~l with
       | Clique.Feasible _ ->
           (* Algorithm 1 is complete on every metric: the diameter pair

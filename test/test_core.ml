@@ -104,10 +104,19 @@ let test_max_size_vs_brute_force () =
   for seed = 30 to 38 do
     let space = tree_space ~seed 7 in
     let values = Bwc_metric.Dmatrix.off_diagonal_values (Space.to_dmatrix space) in
-    let l = Bwc_stats.Summary.percentile values 50.0 in
-    let rec largest k = if k < 2 then 1 else if brute_exists space k l then k else largest (k - 1) in
-    Alcotest.(check int) "max size" (largest 7) (Find_cluster.max_size space ~l)
-  done
+    let ls = Array.map (Bwc_stats.Summary.percentile values) [| 0.0; 20.0; 50.0; 80.0 |] in
+    let largest l =
+      let rec go k = if k < 2 then 1 else if brute_exists space k l then k else go (k - 1) in
+      go 7
+    in
+    Alcotest.(check (array int)) "max sizes" (Array.map largest ls)
+      (Find_cluster.max_sizes space ~ls)
+  done;
+  let space = tree_space ~seed:30 7 in
+  Alcotest.(check (array int)) "no pair qualifies" [| 1; 1 |]
+    (Find_cluster.max_sizes space ~ls:[| -1.0; 0.0 |]);
+  Alcotest.(check (array int)) "empty space" [| 0 |]
+    (Find_cluster.max_sizes (Space.restrict space [||]) ~ls:[| 1.0 |])
 
 let test_find_infeasible () =
   let space = tree_space ~seed:4 10 in
@@ -126,29 +135,10 @@ let test_index_consistency () =
         (fun k ->
           let direct = Find_cluster.find space ~k ~l in
           let indexed = Find_cluster.Index.find index ~k ~l in
-          Alcotest.(check bool) "feasibility agrees" (direct <> None) (indexed <> None);
-          Alcotest.(check bool) "exists agrees" (direct <> None)
-            (Find_cluster.Index.exists index ~k ~l);
           (* identical scan order must give identical clusters *)
           Alcotest.(check (option (list int))) "same cluster" direct indexed)
-        [ 2; 4; 7 ];
-      Alcotest.(check int) "max size agrees"
-        (Find_cluster.max_size space ~l)
-        (Find_cluster.Index.max_size index ~l))
+        [ 2; 4; 7 ])
     [ 10.0; 40.0; 70.0; 95.0 ]
-
-let test_index_max_sizes_vector () =
-  let space = tree_space ~seed:6 14 in
-  let index = Find_cluster.Index.build space in
-  let ls = [| 1.0; 50.0; 500.0; 5000.0 |] in
-  let sizes = Find_cluster.Index.max_sizes index ~ls in
-  Array.iteri
-    (fun i l -> Alcotest.(check int) "entry" (Find_cluster.Index.max_size index ~l) sizes.(i))
-    ls;
-  (* max size is monotone in l *)
-  for i = 1 to Array.length sizes - 1 do
-    if sizes.(i) < sizes.(i - 1) then Alcotest.fail "max size must grow with l"
-  done
 
 let test_index_incremental_grow_shrink () =
   (* grow one host at a time from empty to full, then shrink back: every
@@ -162,12 +152,10 @@ let test_index_incremental_grow_shrink () =
   in
   let agree idx members =
     let fresh = Find_cluster.Index.build_subset space members in
-    Alcotest.(check (list int)) "members" (Find_cluster.Index.members fresh)
-      (Find_cluster.Index.members idx);
+    Alcotest.(check bool) "same members and counts" true
+      (Find_cluster.Index.dump fresh = Find_cluster.Index.dump idx);
     List.iter
       (fun l ->
-        Alcotest.(check int) "max_size" (Find_cluster.Index.max_size fresh ~l)
-          (Find_cluster.Index.max_size idx ~l);
         List.iter
           (fun k ->
             Alcotest.(check (option (list int))) "find"
@@ -200,13 +188,44 @@ let test_index_delta_contract () =
   Alcotest.(check bool) "out-of-range add rejected" true
     (raises (fun () -> Find_cluster.Index.add_host idx 10));
   (* leave then re-join lands back on the identical index state *)
-  let before = Find_cluster.Index.max_sizes idx ~ls:[| 1.0; 100.0; 1e4 |] in
+  let before = Find_cluster.Index.dump idx in
   Find_cluster.Index.remove_host idx 2;
   Find_cluster.Index.add_host idx 2;
   Alcotest.(check (list int)) "members restored" [ 0; 2; 4 ]
     (Find_cluster.Index.members idx);
-  Alcotest.(check (array int)) "answers restored" before
-    (Find_cluster.Index.max_sizes idx ~ls:[| 1.0; 100.0; 1e4 |])
+  Alcotest.(check bool) "counts restored" true (before = Find_cluster.Index.dump idx)
+
+(* A dump is untrusted input: a count can only nominate a pair, never
+   stand in for its ball.  Line metric 0,1,2,10,11,30: pair (0,1) has
+   ball {0,1}, so a dumped count of 6 must not turn it into an answer
+   for k = 5 (there is none) or k = 3 (pair (0,2) is the honest one). *)
+let test_index_tampered_counts () =
+  let pos = [| 0.0; 1.0; 2.0; 10.0; 11.0; 30.0 |] in
+  let space = Space.make ~n:6 ~dist:(fun i j -> Float.abs (pos.(i) -. pos.(j))) in
+  let honest = Find_cluster.Index.build space in
+  let d = Find_cluster.Index.dump honest in
+  Alcotest.(check int) "pair (0,1) holds its two endpoints" 2 d.Find_cluster.Index.d_sizes.(0);
+  let with_first c =
+    let sizes = Array.copy d.Find_cluster.Index.d_sizes in
+    sizes.(0) <- c;
+    { d with Find_cluster.Index.d_sizes = sizes }
+  in
+  let tampered = Find_cluster.Index.of_dump space (with_first 6) in
+  List.iter
+    (fun k ->
+      Alcotest.(check (option (list int)))
+        (Printf.sprintf "k=%d answers as the honest index" k)
+        (Find_cluster.Index.find honest ~k ~l:2.5)
+        (Find_cluster.Index.find tampered ~k ~l:2.5))
+    [ 3; 5 ];
+  Alcotest.(check (option (list int))) "k=5 infeasible" None
+    (Find_cluster.Index.find tampered ~k:5 ~l:2.5);
+  List.iter
+    (fun c ->
+      match Find_cluster.Index.of_dump space (with_first c) with
+      | _ -> Alcotest.failf "count %d accepted" c
+      | exception Invalid_argument _ -> ())
+    [ 0; 1; 7 ]
 
 (* ----- Classes ----- *)
 
@@ -716,10 +735,8 @@ let test_eviction_drives_index_delta () =
   Alcotest.(check (list int)) "members match survivors"
     (Find_cluster.Index.members fresh)
     (Find_cluster.Index.members idx);
-  let ls = [| 10.0; 100.0; 1000.0 |] in
-  Alcotest.(check (array int)) "answers match a fresh build"
-    (Find_cluster.Index.max_sizes fresh ~ls)
-    (Find_cluster.Index.max_sizes idx ~ls)
+  Alcotest.(check bool) "counts match a fresh build" true
+    (Find_cluster.Index.dump fresh = Find_cluster.Index.dump idx)
 
 let test_incremental_repair_matches_full () =
   (* the tentpole property: manual incremental repair reaches the same
@@ -1496,10 +1513,10 @@ let () =
           Alcotest.test_case "max size vs brute force" `Quick test_max_size_vs_brute_force;
           Alcotest.test_case "infeasible cases" `Quick test_find_infeasible;
           Alcotest.test_case "index consistency" `Quick test_index_consistency;
-          Alcotest.test_case "index max_sizes" `Quick test_index_max_sizes_vector;
           Alcotest.test_case "index incremental grow/shrink" `Quick
             test_index_incremental_grow_shrink;
           Alcotest.test_case "index delta contract" `Quick test_index_delta_contract;
+          Alcotest.test_case "index tampered counts" `Quick test_index_tampered_counts;
         ] );
       ( "classes",
         [

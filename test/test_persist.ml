@@ -147,6 +147,53 @@ let test_snapshot_dynamic_roundtrip () =
   Alcotest.(check bool) "index tracked the leave" false
     (Bwc_core.Find_cluster.Index.is_member (Dynamic.index restored) victim)
 
+(* A small Dynamic with its index forced and moved by one join and one
+   leave: the image pins the index's dump layout (members, then per-pair
+   counts in member-pair order) byte for byte. *)
+let forced_index_dynamic () =
+  let dyn = Dynamic.create ~seed:5 ~initial_members:(List.init 16 Fun.id) (dataset ~seed:6 20) in
+  ignore (Dynamic.index dyn : Bwc_core.Find_cluster.Index.t);
+  Dynamic.join dyn 17;
+  Dynamic.leave dyn 3;
+  dyn
+
+let test_snapshot_dynamic_golden () =
+  Alcotest.(check string) "image digest" "d35130f588bce869fc595d6e061fe659"
+    (Digest.to_hex (Digest.string (Snapshot.encode (`Dynamic (forced_index_dynamic ())))))
+
+(* The index section closes the payload: "# index", the member count and
+   members, the pair count, then one "i <count>" line per member pair.
+   A CRC-valid image whose first pair count is below 2 (every ball holds
+   its own pair) is refused as Corrupt. *)
+let test_snapshot_index_count_refused () =
+  let payload =
+    match Codec.decode (Snapshot.encode (`Dynamic (forced_index_dynamic ()))) with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "container: %s" (Codec.error_to_string e)
+  in
+  let lines = String.split_on_char '\n' payload in
+  let rec split_at_index acc = function
+    | "# index" :: rest -> (List.rev ("# index" :: acc), rest)
+    | l :: rest -> split_at_index (l :: acc) rest
+    | [] -> Alcotest.fail "no index section"
+  in
+  let head, rest = split_at_index [] lines in
+  let members = Scanf.sscanf (List.hd rest) "n %d" Fun.id in
+  let before_first = List.filteri (fun i _ -> i < members + 2) rest in
+  let after_first = List.filteri (fun i _ -> i > members + 2) rest in
+  let first = Scanf.sscanf (List.nth rest (members + 2)) "i %d" Fun.id in
+  Alcotest.(check bool) "first pair counts its endpoints" true (first >= 2);
+  List.iter
+    (fun c ->
+      let tampered =
+        String.concat "\n" (head @ before_first @ [ Printf.sprintf "i %d" c ] @ after_first)
+      in
+      match Snapshot.decode (Codec.encode tampered) with
+      | Error (Codec.Corrupt _) -> ()
+      | Error e -> Alcotest.failf "count %d: wrong error %s" c (Codec.error_to_string e)
+      | Ok _ -> Alcotest.failf "count %d accepted" c)
+    [ 0; 1 ]
+
 (* Version 1 dynamic images carried an approximation-mode int and an
    optional summary section after the index; an exact-mode v1 image is a
    dynamic payload plus those two empty fields.  Version 2 stored
@@ -449,6 +496,10 @@ let () =
           Alcotest.test_case "deterministic future" `Quick
             test_snapshot_future_is_deterministic;
           Alcotest.test_case "dynamic round trip" `Quick test_snapshot_dynamic_roundtrip;
+          Alcotest.test_case "dynamic forced-index golden" `Quick
+            test_snapshot_dynamic_golden;
+          Alcotest.test_case "index count below two refused" `Quick
+            test_snapshot_index_count_refused;
           Alcotest.test_case "v1 image refused" `Quick test_snapshot_v1_refused;
           Alcotest.test_case "mid-convergence crash" `Quick test_snapshot_mid_convergence;
           Alcotest.test_case "detector mid-lease" `Quick test_snapshot_detector_mid_lease;
