@@ -128,12 +128,14 @@ module Index = struct
     Array.iter (fun h -> active.(h) <- true) members;
     { space; active; members; counts = Array.make (n * n) 0 }
 
+  let count_all t =
+    iter_member_pairs t (fun u v ->
+        t.counts.(cell t u v) <- count_active t ~u ~v (t.space.Space.dist u v));
+    t
+
   let build_subset space hosts =
     let fail msg = invalid_arg ("Find_cluster.Index: " ^ msg) in
-    let t = create ~fail space (Array.of_list (List.sort_uniq compare hosts)) in
-    iter_member_pairs t (fun u v ->
-        t.counts.(cell t u v) <- count_active t ~u ~v (space.Space.dist u v));
-    t
+    count_all (create ~fail space (Array.of_list (List.sort_uniq compare hosts)))
 
   let build space = build_subset space (List.init space.Space.n Fun.id)
 
@@ -187,8 +189,8 @@ module Index = struct
       (Array.to_list t.members)
 
   (* The stored count only selects candidate pairs; the answer comes from
-     the recounted member list, so a count that overstates its ball (a
-     tampered snapshot) can never yield fewer than [k] hosts. *)
+     the recounted member list, so [find] never yields fewer than [k]
+     hosts whatever a count says. *)
   let find ?(verify = false) t ~k ~l =
     if k < 2 then invalid_arg "Find_cluster.Index.find: k < 2";
     let result = ref None in
@@ -213,8 +215,10 @@ module Index = struct
   (* ----- persistence -----
 
      The universe space is a function and cannot be serialized; the dump
-     carries the membership and the per-pair counts, and [of_dump]
-     restores them in O(a^2) instead of the O(a^3) of [build_subset]. *)
+     carries the membership and the per-pair counts.  A count is derived
+     state, and an image that understates one would make [find] miss a
+     cluster that exists, so [of_dump] recounts every ball (the O(a^3)
+     of [build_subset]) and refuses any count that differs. *)
 
   type dump = {
     d_members : int list; (* ascending *)
@@ -235,11 +239,7 @@ module Index = struct
     let t = create ~fail space (Array.of_list d.d_members) in
     let a = Array.length t.members in
     if Array.length d.d_sizes <> a * (a - 1) / 2 then fail "size table arity mismatch";
-    (* every ball holds its own two endpoints *)
-    Array.iter (fun s -> if s < 2 || s > a then fail "count out of range") d.d_sizes;
-    let pos = ref 0 in
-    iter_member_pairs t (fun u v ->
-        t.counts.(cell t u v) <- d.d_sizes.(!pos);
-        incr pos);
+    let t = count_all t in
+    if (dump t).d_sizes <> d.d_sizes then fail "count disagrees with its recounted ball";
     t
 end

@@ -102,9 +102,11 @@ module Index : sig
   val dump : t -> dump
 
   val of_dump : Bwc_metric.Space.t -> dump -> t
-  (** Reconstructs the index over the given universe space in O(a^2):
-      the counts come from the dump instead of an O(a^3) recount.
-      Validates membership ordering and range, and that every count lies
-      in [[2, a]] (a ball always holds its own pair); raises
-      [Invalid_argument] on any violation. *)
+  (** Reconstructs the index over the given universe space.  Validates
+      membership ordering and range, recounts every ball as
+      {!build_subset} does (O(a^3)) and checks each dumped count against
+      its recount: a count is derived state, and one that understated
+      its ball would hide a cluster from {!find}.  Raises
+      [Invalid_argument] on any violation, so [dump (of_dump s d) = d]
+      for every accepted [d]. *)
 end

@@ -6,10 +6,6 @@ type t = {
 let make ~host ~labels = { host; labels }
 let dist a b = Bwc_predtree.Ensemble.label_dist a.labels b.labels
 
-let space_of infos =
-  Bwc_metric.Space.make ~n:(Array.length infos) ~dist:(fun i j ->
-      if i = j then 0.0 else dist infos.(i) infos.(j))
-
 let equal a b = a.host = b.host
 let compare_host a b = compare a.host b.host
 

@@ -14,11 +14,6 @@ val make : host:int -> labels:Bwc_predtree.Label.t array -> t
 val dist : t -> t -> float
 (** Median predicted tree distance across the ensemble. *)
 
-val space_of : t array -> Bwc_metric.Space.t
-(** The clustering space spanned by a set of node infos: point [i] of the
-    space is [infos.(i)], distances are label distances (Algorithms 3 and
-    4 run {!Find_cluster} on exactly this). *)
-
 val equal : t -> t -> bool
 (** Host identity (labels are per-host, so ids suffice). *)
 

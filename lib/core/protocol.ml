@@ -67,6 +67,10 @@ type node = {
   mutable links : link array;   (* anchor order: parent first, then children *)
   mutable by_peer : link array; (* the same links, ascending peer id *)
   mutable own_row : int array;  (* aggrCRT[self] *)
+  (* V_x as [gather] finds it, [||] once an input to [gather] changes;
+     [vx_dist] holds its label distances (see [vx]) *)
+  mutable vx : Node_info.t array;
+  mutable vx_dist : float array;
   mutable dirty : bool;
   (* what flavour of traffic the next dirty flush is: Aggregate in steady
      state, escalated to Invalidate/Repair by self-healing so trace
@@ -87,6 +91,7 @@ type t = {
   mutable on_evict : int -> unit;    (* observer of detector/repair evictions *)
   mutable unacked : int;             (* live out entries awaiting an ack, system-wide *)
   mutable step_changed : bool;       (* any node changed state this round *)
+  vx_pos : int array;                (* host -> V_x index scratch, -1 between uses *)
   c_retransmissions : Registry.Counter.t;
   c_dup_suppressed : Registry.Counter.t;
   c_stale_discarded : Registry.Counter.t;
@@ -115,7 +120,8 @@ let set_links node links =
   let by_peer = Array.copy links in
   Array.sort (fun a b -> compare (peer a) (peer b)) by_peer;
   node.links <- links;
-  node.by_peer <- by_peer
+  node.by_peer <- by_peer;
+  node.vx <- [||]
 
 let find_link node h = Array.find_opt (fun l -> peer l = h) node.links
 
@@ -131,6 +137,8 @@ let fresh_node fw classes detector ~round host =
       links = [||];
       by_peer = [||];
       own_row = Array.make (Classes.count classes) 1;
+      vx = [||];
+      vx_dist = [||];
       dirty = true;
       dirty_kind = Trace.Aggregate;
     }
@@ -167,6 +175,7 @@ let make ~fw ~classes ~n_cut ~nodes ~engine ~detector ~metrics ~trace ~rounds ~e
     on_evict = ignore;
     unacked;
     step_changed = false;
+    vx_pos = Array.make (Ensemble.hosts fw) (-1);
     c_retransmissions = Registry.counter metrics "protocol.retransmissions";
     c_dup_suppressed = Registry.counter metrics "protocol.dup_suppressed";
     c_stale_discarded = Registry.counter metrics "protocol.stale_discarded";
@@ -285,31 +294,72 @@ let gather node ~skip =
     node.links;
   !acc
 
-let clustering_space_node node = Array.of_list (List.rev (gather node ~skip:(-1)))
+(* V_x in discovery order.  Its label distances are ensemble medians,
+   far dearer than anything that reads them, so they are taken once per
+   change of V_x: cell [i * n + j] of [node.vx_dist] is the distance
+   between entries [i] and [j].  The buffer only grows and is refilled
+   in place: a matrix over 256 words lives in the major heap, and one
+   allocated per refill would die there. *)
+let vx node =
+  if Array.length node.vx = 0 then begin
+    let infos = Array.of_list (List.rev (gather node ~skip:(-1))) in
+    let n = Array.length infos in
+    if Array.length node.vx_dist < n * n then node.vx_dist <- Array.make (n * n) 0.0;
+    let d = node.vx_dist in
+    for i = 0 to n - 1 do
+      d.((i * n) + i) <- 0.0;
+      for j = i + 1 to n - 1 do
+        let v = Node_info.dist infos.(i) infos.(j) in
+        d.((i * n) + j) <- v;
+        d.((j * n) + i) <- v
+      done
+    done;
+    node.vx <- infos
+  end;
+  node.vx
+
+let vx_space node =
+  let infos = vx node in
+  let n = Array.length infos and d = node.vx_dist in
+  (infos, Bwc_metric.Space.make ~n ~dist:(fun i j -> d.((i * n) + j)))
 
 (* One Algorithm-1 pass over V_x gives the whole row: the largest
    cluster per bandwidth class. *)
 let recompute_own_row t node =
-  let infos = clustering_space_node node in
-  (* cache the pairwise label distances: the pair scan evaluates each
-     pair O(|V|) times and ensemble-median label distances are not
-     cheap *)
-  let space = Bwc_metric.Space.cached (Node_info.space_of infos) in
+  let _, space = vx_space node in
   node.own_row <- Find_cluster.max_sizes space ~ls:(Classes.distances t.classes)
 
 (* ----- message construction ----- *)
 
+let same_labels (a : Node_info.t) (b : Node_info.t) =
+  (* bwclint: allow determinism-taint -- a shortcut only: shared labels are equal labels, so the answer is structural equality's whatever the sharing *)
+  a.Node_info.labels == b.Node_info.labels || a.Node_info.labels = b.Node_info.labels
+
 (* Algorithm 2: the n_cut hosts closest to the recipient among
-   {x} union aggrNode[v] for v <> recipient. *)
+   {x} union aggrNode[v] for v <> recipient.  Every candidate's host is
+   in V_x, so its key is the recipient's row of the V_x matrix whenever
+   V_x holds the recipient and both entries carry the labels at hand;
+   an aggregated info can carry an older epoch's labels, so anything
+   else takes a fresh median.  Label distances are bitwise symmetric, so
+   a row read equals the median it replaces. *)
 let prop_node_for t node ~recipient =
-  (* each label distance is an ensemble median: compute it once per
-     candidate, not once per comparison *)
+  let infos = vx node in
+  let n = Array.length infos in
+  Array.iteri (fun i (info : Node_info.t) -> t.vx_pos.(info.Node_info.host) <- i) infos;
+  let index_of (c : Node_info.t) =
+    let i = t.vx_pos.(c.Node_info.host) in
+    if i >= 0 && same_labels infos.(i) c then i else -1
+  in
+  let row = index_of recipient in
+  let key c =
+    let j = if row < 0 then -1 else index_of c in
+    if j < 0 then Node_info.dist recipient c else node.vx_dist.((row * n) + j)
+  in
   let cand =
     Array.of_list
-      (List.map
-         (fun c -> (Node_info.dist recipient c, c))
-         (gather node ~skip:recipient.Node_info.host))
+      (List.map (fun c -> (key c, c)) (gather node ~skip:recipient.Node_info.host))
   in
+  Array.iter (fun (info : Node_info.t) -> t.vx_pos.(info.Node_info.host) <- -1) infos;
   Array.sort (fun (a, _) (b, _) -> Float.compare a b) cand;
   List.init (Stdlib.min t.n_cut (Array.length cand)) (fun i -> snd cand.(i))
 
@@ -478,7 +528,10 @@ let apply_update t node l ~epoch ~seq payload =
         | Some prev -> List.compare Node_info.compare_host prev payload.prop_node <> 0
         | None -> true
       in
-      if node_diff then l.aggr_node <- Some payload.prop_node;
+      if node_diff then begin
+        l.aggr_node <- Some payload.prop_node;
+        node.vx <- [||]
+      end;
       let crt_diff =
         match l.aggr_crt with
         | Some prev -> prev <> payload.prop_crt
@@ -715,7 +768,62 @@ let run_aggregation ?max_rounds t =
 
 (* ----- queries (Algorithm 4) ----- *)
 
-let clustering_space t x = clustering_space_node (get_node t x)
+let clustering_space t x = Array.copy (vx (get_node t x))
+
+(* everything the cache replaces, taken from scratch *)
+let check_vx_cache t x =
+  let node = get_node t x in
+  let infos = vx node in
+  let fresh = Array.of_list (List.rev (gather node ~skip:(-1))) in
+  let n = Array.length fresh in
+  let same_info (a : Node_info.t) (b : Node_info.t) =
+    a.Node_info.host = b.Node_info.host && same_labels a b
+  in
+  let bad_cell () =
+    let medians =
+      Bwc_metric.Space.cached
+        (Bwc_metric.Space.make ~n ~dist:(fun i j ->
+             if i = j then 0.0 else Node_info.dist fresh.(i) fresh.(j)))
+    in
+    let bad = ref None in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if
+          !bad = None
+          && Int64.bits_of_float node.vx_dist.((i * n) + j)
+             <> Int64.bits_of_float (medians.Bwc_metric.Space.dist i j)
+        then bad := Some (i, j)
+      done
+    done;
+    !bad
+  in
+  let fresh_prop_node recipient =
+    let cand =
+      Array.of_list
+        (List.map
+           (fun c -> (Node_info.dist recipient c, c))
+           (gather node ~skip:recipient.Node_info.host))
+    in
+    Array.sort (fun (a, _) (b, _) -> Float.compare a b) cand;
+    List.init (Stdlib.min t.n_cut (Array.length cand)) (fun i -> snd cand.(i))
+  in
+  let fail fmt = Printf.ksprintf (fun msg -> Error (Printf.sprintf "host %d: %s" x msg)) fmt in
+  if Array.length infos <> n || not (Array.for_all2 same_info infos fresh) then
+    fail "cached V_x differs from a fresh gather"
+  else
+    match bad_cell () with
+    | Some (i, j) -> fail "cell (%d, %d) differs from its median" i j
+    | None -> (
+        match
+          Array.find_opt
+            (fun l ->
+              not
+                (List.equal ( == ) (prop_node_for t node ~recipient:l.nb)
+                   (fresh_prop_node l.nb)))
+            node.links
+        with
+        | Some l -> fail "propNode for %d differs" (peer l)
+        | None -> Ok ())
 
 let routing_suspects t ~at h =
   match node_opt t at with
@@ -737,8 +845,7 @@ let detour ordered =
   healthy @ suspected
 
 let local_find t node ~k ~cls =
-  let infos = clustering_space_node node in
-  let space = Bwc_metric.Space.cached (Node_info.space_of infos) in
+  let infos, space = vx_space node in
   match Find_cluster.find space ~k ~l:(Classes.distance t.classes cls) with
   | None -> None
   | Some idxs -> Some (List.map (fun i -> infos.(i).Node_info.host) idxs)
@@ -863,7 +970,13 @@ let regrafts_applied t = Registry.Counter.value t.c_regrafts
 let pending_unacked t = t.unacked
 
 let mark_all_dirty t =
-  Array.iter (function Some node -> node.dirty <- true | None -> ()) t.nodes
+  Array.iter
+    (function
+      | Some node ->
+          node.dirty <- true;
+          node.vx <- [||]
+      | None -> ())
+    t.nodes
 
 (* ----- persistence -----
 
@@ -1024,6 +1137,7 @@ let of_dump ?faults ?metrics ?trace ~classes fw d =
       if List.map (fun ld -> ld.l_peer) nd.nd_links <> Array.to_list (Array.map peer node.by_peer)
       then fail "links are not the anchor neighbors in ascending order";
       List.iteri (fun i ld -> restore_link node.by_peer.(i) ld) nd.nd_links;
+      node.vx <- [||];
       node.own_row <- Array.copy nd.nd_own_row;
       node.dirty <- nd.nd_dirty;
       nodes.(nd.nd_id) <- Some node)

@@ -177,7 +177,24 @@ val query_bandwidth :
 
 val clustering_space : t -> int -> Node_info.t array
 (** [V_x]: the host itself plus everything aggregated from its neighbors
-    (the space Algorithms 3 and 4 cluster in). *)
+    (the space Algorithms 3 and 4 cluster in), in discovery order: the
+    host first, then each link's [aggrNode] in link order, a host
+    repeated on a later link skipped.
+
+    Each host caches [V_x] with its pairwise label distances (ensemble
+    medians) in one square matrix.  Own-row recomputes, local query
+    answers and propNode selection read it; the cache is dropped when a
+    link's [aggrNode] changes, when the links are rebuilt, on restore
+    and by {!mark_all_dirty}, and refilled in place on the next read.
+    The result is a copy. *)
+
+val check_vx_cache : t -> int -> (unit, string) result
+(** Check hook for tests: fills host [x]'s [V_x] cache if it was
+    dropped, then compares it with a from-scratch recomputation — the
+    cached infos with a fresh gather (host and labels), every matrix
+    cell bit for bit with the ensemble median it stands for, and the
+    propNode sent on each link with a selection ranked by fresh medians.
+    [Error] names the first disagreement. *)
 
 val neighbors : t -> int -> int list
 (** [neighbors t x]: the peers of [x]'s links in the order they are
@@ -325,7 +342,10 @@ val of_dump :
 
 val mark_all_dirty : t -> unit
 (** Forces every host to recompute and repropagate — used after the
-    underlying framework is refreshed (dynamic network conditions). *)
+    underlying framework is refreshed (dynamic network conditions).
+    It also drops every host's [V_x] cache (see {!clustering_space}), so
+    the recompute retakes every label distance: a round forced here
+    costs what a round with fresh inputs costs. *)
 
 val refresh_topology : t -> unit
 (** Re-reads membership, labels and anchor neighborhoods from the

@@ -26,7 +26,11 @@
       crash repair, manual repair, deferred churn and topology refresh,
       every member's protocol links stay its anchor neighbors in
       overlay order, and Protocol.dump is a fixed point of
-      dump . of_dump.
+      dump . of_dump;
+   8. vx-cache — through the same cases, after every protocol round,
+      every step and every restore, each member's cached V_x (infos,
+      label-distance matrix bit for bit, propNode selection) equals a
+      from-scratch recomputation (Protocol.check_vx_cache).
 
    The harness is deliberately NOT an alcotest suite: its stdout is
    fully deterministic for a given seed (no timings), so two runs with
@@ -573,9 +577,12 @@ let decoder_fuzz () =
    overlay's neighborhoods.  Each case drives a small detector-enabled
    Dynamic through random steps (a few protocol rounds after each) and
    checks, after every step, the links of every member against the
-   ensemble and the dump against its own restore. *)
+   ensemble and the dump against its own restore.  The vx-cache arm
+   rides along: each member's V_x cache is checked after every round,
+   every step and every restore. *)
 let link_consistency () =
   let prop = "link-consistency" in
+  let vx_checks = ref 0 in
   let module Dynamic = Bwc_core.Dynamic in
   let module Churn = Bwc_sim.Churn in
   let n_cases = Stdlib.max 1 (cases / 10) in
@@ -595,7 +602,21 @@ let link_consistency () =
     in
     let p = Dynamic.protocol dyn in
     let pick l = List.nth l (Rng.int rng (List.length l)) in
+    let check_vx step what p =
+      List.iter
+        (fun h ->
+          incr vx_checks;
+          match Protocol.check_vx_cache p h with
+          | Ok () -> ()
+          | Error msg -> fail_case "vx-cache" case "step %d (%s): %s" step what msg)
+        (Ensemble.members (Dynamic.ensemble dyn))
+    in
+    let round step what =
+      ignore (Protocol.run_round p : bool);
+      check_vx step what p
+    in
     let check step what =
+      check_vx step what p;
       let ens = Dynamic.ensemble dyn in
       List.iter
         (fun h ->
@@ -610,7 +631,8 @@ let link_consistency () =
       | restored ->
           if Protocol.dump restored <> d then
             fail_case prop case "step %d (%s): dump is not a fixed point of restore" step
-              what
+              what;
+          check_vx step (what ^ ", restored") restored
     in
     for step = 1 to steps do
       let members = Dynamic.members dyn in
@@ -626,12 +648,12 @@ let link_consistency () =
             Protocol.crash_host p victim;
             (* mid-detection state (running, suspected leases) round-trips too *)
             for _ = 1 to Rng.int rng 10 do
-              ignore (Protocol.run_round p : bool)
+              round step "crash"
             done;
             if Protocol.repairs_run p = before then check step "crash, unrepaired";
             let rounds = ref 0 in
             while Protocol.repairs_run p = before && !rounds < 100 do
-              ignore (Protocol.run_round p : bool);
+              round step "crash";
               incr rounds
             done;
             if Protocol.repairs_run p = before then
@@ -651,7 +673,7 @@ let link_consistency () =
             "refresh"
       in
       for _ = 1 to Rng.int rng 5 do
-        ignore (Protocol.run_round p : bool)
+        round step what
       done;
       check step what
     done
@@ -659,7 +681,11 @@ let link_consistency () =
   Printf.printf
     "%s: %d cases, %d steps (%d crash, %d repair, %d churn, %d refresh), links = anchor \
      neighbors and dump round-trips after every step [ok]\n"
-    prop n_cases (n_cases * steps) counts.(0) counts.(1) counts.(2) counts.(3)
+    prop n_cases (n_cases * steps) counts.(0) counts.(1) counts.(2) counts.(3);
+  Printf.printf
+    "vx-cache: %d member checks after every round, step and restore, cache = fresh \
+     medians [ok]\n"
+    !vx_checks
 
 let () =
   Printf.printf "bwc property harness (seed %d, %d churn sequences)\n" seed cases;

@@ -200,32 +200,31 @@ let test_index_delta_contract () =
    ball {0,1}, so a dumped count of 6 must not turn it into an answer
    for k = 5 (there is none) or k = 3 (pair (0,2) is the honest one). *)
 let test_index_tampered_counts () =
+  (* a count is derived state: the restore recounts every ball and
+     refuses an image whose count overstates it (find would nominate a
+     pair with fewer than k hosts) or understates it (find would miss a
+     cluster that exists) *)
   let pos = [| 0.0; 1.0; 2.0; 10.0; 11.0; 30.0 |] in
   let space = Space.make ~n:6 ~dist:(fun i j -> Float.abs (pos.(i) -. pos.(j))) in
   let honest = Find_cluster.Index.build space in
   let d = Find_cluster.Index.dump honest in
   Alcotest.(check int) "pair (0,1) holds its two endpoints" 2 d.Find_cluster.Index.d_sizes.(0);
-  let with_first c =
+  Alcotest.(check int) "pair (0,2) holds 0, 1 and 2" 3 d.Find_cluster.Index.d_sizes.(1);
+  Alcotest.(check bool) "the honest image round-trips" true
+    (Find_cluster.Index.dump (Find_cluster.Index.of_dump space d) = d);
+  Alcotest.(check (option (list int))) "k=3 within 2.5 exists" (Some [ 0; 2; 1 ])
+    (Find_cluster.Index.find (Find_cluster.Index.of_dump space d) ~k:3 ~l:2.5);
+  let with_count pair c =
     let sizes = Array.copy d.Find_cluster.Index.d_sizes in
-    sizes.(0) <- c;
+    sizes.(pair) <- c;
     { d with Find_cluster.Index.d_sizes = sizes }
   in
-  let tampered = Find_cluster.Index.of_dump space (with_first 6) in
   List.iter
-    (fun k ->
-      Alcotest.(check (option (list int)))
-        (Printf.sprintf "k=%d answers as the honest index" k)
-        (Find_cluster.Index.find honest ~k ~l:2.5)
-        (Find_cluster.Index.find tampered ~k ~l:2.5))
-    [ 3; 5 ];
-  Alcotest.(check (option (list int))) "k=5 infeasible" None
-    (Find_cluster.Index.find tampered ~k:5 ~l:2.5);
-  List.iter
-    (fun c ->
-      match Find_cluster.Index.of_dump space (with_first c) with
-      | _ -> Alcotest.failf "count %d accepted" c
+    (fun (pair, c) ->
+      match Find_cluster.Index.of_dump space (with_count pair c) with
+      | _ -> Alcotest.failf "pair %d: count %d accepted" pair c
       | exception Invalid_argument _ -> ())
-    [ 0; 1; 7 ]
+    [ (0, 0); (0, 1); (0, 3); (0, 6); (0, 7); (1, 2) ]
 
 (* ----- Classes ----- *)
 
@@ -782,6 +781,119 @@ let test_incremental_repair_matches_full () =
     (Printf.sprintf "incremental cheaper (%d vs %d msgs)" repair_msgs full_msgs)
     true
     (repair_msgs < full_msgs)
+
+(* V_x from scratch through the public API, in the protocol's discovery
+   order: the host, then each link's aggrNode in link order, the first
+   copy of a host kept *)
+let fresh_vx ens p x =
+  let seen = Hashtbl.create 16 in
+  let acc = ref [] in
+  let consider (i : Node_info.t) =
+    if not (Hashtbl.mem seen i.Node_info.host) then begin
+      Hashtbl.add seen i.Node_info.host ();
+      acc := i :: !acc
+    end
+  in
+  consider (Node_info.make ~host:x ~labels:(Ensemble.labels ens x));
+  List.iter
+    (fun m -> List.iter consider (Protocol.aggregated_nodes p x m))
+    (Protocol.neighbors p x);
+  Array.of_list (List.rev !acc)
+
+(* every member's own row and local query answers equal Algorithm 1 on
+   a freshly built V_x, and its cache passes the protocol's own check *)
+let check_vx_fresh what ens classes p =
+  List.iter
+    (fun x ->
+      (match Protocol.check_vx_cache p x with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s: %s" what msg);
+      let infos = fresh_vx ens p x in
+      let n = Array.length infos in
+      let space =
+        Space.cached
+          (Space.make ~n ~dist:(fun i j ->
+               if i = j then 0.0 else Node_info.dist infos.(i) infos.(j)))
+      in
+      let row = Protocol.crt_row p x x in
+      Alcotest.(check (array int))
+        (Printf.sprintf "%s: own row of %d" what x)
+        (Find_cluster.max_sizes space ~ls:(Classes.distances classes))
+        row;
+      Array.iteri
+        (fun cls k ->
+          if k >= 2 then
+            Alcotest.(check (option (list int)))
+              (Printf.sprintf "%s: query at %d, k=%d, class %d" what x k cls)
+              (Option.map
+                 (List.map (fun i -> infos.(i).Node_info.host))
+                 (Find_cluster.find space ~k ~l:(Classes.distance classes cls)))
+              (Protocol.query p ~at:x ~k ~cls).Query.cluster)
+        row)
+    (Ensemble.members ens)
+
+let test_vx_cache_invalidation () =
+  (* each source of a V_x change must drop the cache: the caches are
+     filled before every change, so a missed drop serves stale V_x *)
+  let ds = small_dataset ~seed:41 24 in
+  let space = Bwc_dataset.Dataset.metric ds in
+  let classes = Classes.of_percentiles ~count:5 ds in
+  let ens = Ensemble.build ~rng:(Rng.create 42) space in
+  let p = Protocol.create ~rng:(Rng.create 43) ~n_cut:4 ~classes ens in
+  let converge p = ignore (Protocol.run_aggregation ~max_rounds:600 p : int) in
+  check_vx_fresh "before any round" ens classes p;
+  (* 1. aggrNode updates as the aggregation converges *)
+  converge p;
+  check_vx_fresh "converged" ens classes p;
+  (* 2. a repair rebuilds the ex-neighbors' links *)
+  let victim = find_midtree_victim ens in
+  Protocol.crash_host p victim;
+  Protocol.repair p ~dead:[ victim ];
+  List.iter
+    (fun x ->
+      match Protocol.check_vx_cache p x with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "right after the repair: %s" msg)
+    (Ensemble.members ens);
+  converge p;
+  check_vx_fresh "repaired" ens classes p;
+  (* 3. a restore, mid-convergence and at quiescence *)
+  let restored = Protocol.of_dump ~classes ens (Protocol.dump p) in
+  check_vx_fresh "restored" ens classes restored;
+  let victim = find_midtree_victim ens in
+  Protocol.crash_host restored victim;
+  Protocol.repair restored ~dead:[ victim ];
+  ignore (Protocol.run_round restored : bool);
+  let mid = Protocol.of_dump ~classes ens (Protocol.dump restored) in
+  converge mid;
+  check_vx_fresh "restored mid-convergence" ens classes mid;
+  (* 4. mark_all_dirty drops every cache; answers stay the same *)
+  Protocol.mark_all_dirty mid;
+  converge mid;
+  check_vx_fresh "marked dirty" ens classes mid;
+  (* 5. relabelled hosts: rebuilding the frameworks gives every host new
+     labels, and a repair links new neighbors with them while V_x still
+     holds the old ones, so propNode must fall back to fresh medians *)
+  let check_all what =
+    List.iter
+      (fun x ->
+        match Protocol.check_vx_cache mid x with
+        | Ok () -> ()
+        | Error msg -> Alcotest.failf "%s: %s" what msg)
+      (Ensemble.members ens)
+  in
+  let root = Anchor.root (Framework.anchor (Ensemble.primary ens)) in
+  Array.iter
+    (fun fw -> Framework.refresh_host ~rng:(Rng.create 44) fw root)
+    (Ensemble.frameworks ens);
+  let victim = find_midtree_victim ens in
+  Protocol.crash_host mid victim;
+  Protocol.repair mid ~dead:[ victim ];
+  check_all "relabelled";
+  for _ = 1 to 6 do
+    ignore (Protocol.run_round mid : bool);
+    check_all "relabelled, converging"
+  done
 
 let test_routing_detours_suspects () =
   (* while a node is suspected but not yet confirmed, local node search
@@ -1551,6 +1663,7 @@ let () =
           Alcotest.test_case "detector heals a crash" `Quick test_detector_heals_crash;
           Alcotest.test_case "incremental repair matches full" `Quick
             test_incremental_repair_matches_full;
+          Alcotest.test_case "vx cache invalidation" `Quick test_vx_cache_invalidation;
           Alcotest.test_case "eviction drives index delta" `Quick
             test_eviction_drives_index_delta;
           Alcotest.test_case "routing detours suspects" `Quick

@@ -163,9 +163,9 @@ let test_snapshot_dynamic_golden () =
 
 (* The index section closes the payload: "# index", the member count and
    members, the pair count, then one "i <count>" line per member pair.
-   A CRC-valid image whose first pair count is below 2 (every ball holds
-   its own pair) is refused as Corrupt. *)
-let test_snapshot_index_count_refused () =
+   [index_counts] splits the forced-index image into its pair counts and
+   a function rebuilding a CRC-valid image with one count replaced. *)
+let index_counts () =
   let payload =
     match Codec.decode (Snapshot.encode (`Dynamic (forced_index_dynamic ()))) with
     | Ok p -> p
@@ -179,20 +179,44 @@ let test_snapshot_index_count_refused () =
   in
   let head, rest = split_at_index [] lines in
   let members = Scanf.sscanf (List.hd rest) "n %d" Fun.id in
-  let before_first = List.filteri (fun i _ -> i < members + 2) rest in
-  let after_first = List.filteri (fun i _ -> i > members + 2) rest in
-  let first = Scanf.sscanf (List.nth rest (members + 2)) "i %d" Fun.id in
-  Alcotest.(check bool) "first pair counts its endpoints" true (first >= 2);
+  let first = members + 2 in
+  let pairs = members * (members - 1) / 2 in
+  let counts =
+    Array.init pairs (fun p -> Scanf.sscanf (List.nth rest (first + p)) "i %d" Fun.id)
+  in
+  let with_count pair c =
+    Codec.encode
+      (String.concat "\n"
+         (head
+         @ List.mapi (fun i l -> if i = first + pair then Printf.sprintf "i %d" c else l) rest
+         ))
+  in
+  (counts, with_count)
+
+let expect_corrupt what image =
+  match Snapshot.decode image with
+  | Error (Codec.Corrupt _) -> ()
+  | Error e -> Alcotest.failf "%s: wrong error %s" what (Codec.error_to_string e)
+  | Ok _ -> Alcotest.failf "%s accepted" what
+
+(* every ball holds its own pair, so a count below 2 is Corrupt *)
+let test_snapshot_index_count_refused () =
+  let counts, with_count = index_counts () in
+  Alcotest.(check bool) "first pair counts its endpoints" true (counts.(0) >= 2);
   List.iter
-    (fun c ->
-      let tampered =
-        String.concat "\n" (head @ before_first @ [ Printf.sprintf "i %d" c ] @ after_first)
-      in
-      match Snapshot.decode (Codec.encode tampered) with
-      | Error (Codec.Corrupt _) -> ()
-      | Error e -> Alcotest.failf "count %d: wrong error %s" c (Codec.error_to_string e)
-      | Ok _ -> Alcotest.failf "count %d accepted" c)
+    (fun c -> expect_corrupt (Printf.sprintf "count %d" c) (with_count 0 c))
     [ 0; 1 ]
+
+(* a count one below its ball, still in [2, members]: the restored index
+   would miss that ball's clusters, so the image is Corrupt *)
+let test_snapshot_index_understated_refused () =
+  let counts, with_count = index_counts () in
+  match Array.find_index (fun c -> c >= 3) counts with
+  | None -> Alcotest.fail "no pair with a ball of three"
+  | Some pair ->
+      expect_corrupt
+        (Printf.sprintf "pair %d: count %d as %d" pair counts.(pair) (counts.(pair) - 1))
+        (with_count pair (counts.(pair) - 1))
 
 (* Version 1 dynamic images carried an approximation-mode int and an
    optional summary section after the index; an exact-mode v1 image is a
@@ -500,6 +524,8 @@ let () =
             test_snapshot_dynamic_golden;
           Alcotest.test_case "index count below two refused" `Quick
             test_snapshot_index_count_refused;
+          Alcotest.test_case "index understated count refused" `Quick
+            test_snapshot_index_understated_refused;
           Alcotest.test_case "v1 image refused" `Quick test_snapshot_v1_refused;
           Alcotest.test_case "mid-convergence crash" `Quick test_snapshot_mid_convergence;
           Alcotest.test_case "detector mid-lease" `Quick test_snapshot_detector_mid_lease;
